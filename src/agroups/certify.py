@@ -19,7 +19,7 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BoundExceeded, Element, EngineError, GroupDef, Perm, format_vertex
+from .core import BoundExceeded, Element, EngineError, GroupDef, Perm, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -112,21 +112,13 @@ class CoordsIs(Assertion):
     kind = "coords"
 
     def describe(self) -> str:
-        perm = (
-            "id"
-            if not self.cycles
-            else "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles)
-        )
+        perm = format_cycles(self.cycles or ())
         return f"coords {self.word} = ({', '.join(self.slots)}) {perm}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.word, group)
         cs = g.coords()
-        want_perm = (
-            Perm.identity(group.degree)
-            if not self.cycles
-            else Perm.from_cycles(group.degree, self.cycles)
-        )
+        want_perm = Perm.from_cycles(group.degree, self.cycles or ())
         if len(self.slots) != group.degree:
             return self._result(False, f"expected {group.degree} slots")
         computed = f"computed ({', '.join(map(str, cs.slots))}) {cs.perm}"

@@ -44,6 +44,7 @@ __all__ = [
     "UnknownState",
     "Vertex",
     "WreathCoords",
+    "format_cycles",
     "format_vertex",
     "make_group",
 ]
@@ -96,8 +97,17 @@ Letter = Tuple[str, int]  # (state name, exponent +1 or -1)
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@.]*\Z")
 
 
+def format_cycles(cycles: Iterable[Iterable[int]]) -> str:
+    """Cycle notation such as ``(1 2)(3 4)``, or ``id`` for no cycles."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "id"
+
+
 class Perm:
-    """A permutation of the letters 1..d, stored by its image tuple."""
+    """A permutation of the letters 1..d, stored by its image tuple.
+
+    The constructor checks that the image is a bijection; :meth:`_make`
+    skips the check and is only for images derived from valid permutations.
+    """
 
     __slots__ = ("image",)
 
@@ -108,8 +118,14 @@ class Perm:
         self.image = image
 
     @classmethod
+    def _make(cls, image: Tuple[int, ...]) -> "Perm":
+        perm = object.__new__(cls)
+        perm.image = image
+        return perm
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(1, degree + 1))
+        return cls._make(tuple(range(1, degree + 1)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
@@ -136,13 +152,15 @@ class Perm:
         # (p * q)(i) = p(q(i)): q acts first, matching the product convention.
         if not isinstance(other, Perm):
             return NotImplemented
-        return Perm(self.image[j - 1] for j in other.image)
+        if len(self.image) != len(other.image):
+            raise BadPerm(f"degrees differ: {self.degree} and {other.degree}")
+        return Perm._make(tuple(self.image[j - 1] for j in other.image))
 
     def inv(self) -> "Perm":
         image = [0] * len(self.image)
         for i, j in enumerate(self.image, start=1):
             image[j - 1] = i
-        return Perm(image)
+        return Perm._make(tuple(image))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image, start=1))
@@ -170,10 +188,7 @@ class Perm:
         return hash(self.image)
 
     def __repr__(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "id"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return format_cycles(self.cycles())
 
 
 class State(NamedTuple):
@@ -186,9 +201,14 @@ class GroupDef:
 
     Use :func:`make_group` (or the ``.agt`` file parser) to build one; the
     constructor trusts its input.
+
+    It compiles the validated states once into the step table read by
+    :meth:`Element.coords` and :meth:`Element.act`: each letter ``(name,
+    1)`` or ``(name, -1)`` maps to its root image tuple and to its section
+    letter (None for the identity) at each input letter.
     """
 
-    __slots__ = ("name", "degree", "_states", "_sig")
+    __slots__ = ("name", "degree", "_states", "_sig", "_step")
 
     def __init__(self, name: str, degree: int, states: "dict[str, State]"):
         self.name = name
@@ -199,6 +219,12 @@ class GroupDef:
             degree,
             tuple((n, st.slots, st.perm.image) for n, st in states.items()),
         )
+        self._step: "dict[Letter, tuple]" = {}
+        for n, (slots, perm) in states.items():
+            # s sends i w to e(i) s_{e(i)}(w), so s^-1 sends j w to e^-1(j) s_j^-1(w)
+            by_input = (slots[j - 1] for j in perm.image)
+            self._step[(n, 1)] = (perm.image, tuple((s, 1) if s else None for s in by_input))
+            self._step[(n, -1)] = (perm.inv().image, tuple((s, -1) if s else None for s in slots))
 
     # -- states ---------------------------------------------------------
 
@@ -410,29 +436,23 @@ class Element:
     # -- wreath calculus ---------------------------------------------------
 
     def coords(self) -> WreathCoords:
-        """Slot tuple and root permutation, by folding the product rule."""
+        """Slot tuple and root permutation, read off the group's step table.
+
+        Each input letter i walks the word right to left; it ends at e(i),
+        and the section letters it meets, reduced in reverse, give slot e(i).
+        """
         group = self.group
-        d = group.degree
-        slot_words: "list[list[Letter]]" = [[] for _ in range(d)]
-        eps = Perm.identity(d)
-        for name, exp in self.letters:
-            st = group._states[name]
-            inv_eps = eps.inv()
-            if exp == 1:
-                for k in range(1, d + 1):
-                    entry = st.slots[inv_eps(k) - 1]
-                    if entry is not None:
-                        _push(slot_words[k - 1], (entry, 1))
-                eps = eps * st.perm
-            else:
-                sperm = st.perm
-                for k in range(1, d + 1):
-                    entry = st.slots[sperm(inv_eps(k)) - 1]
-                    if entry is not None:
-                        _push(slot_words[k - 1], (entry, -1))
-                eps = eps * sperm.inv()
-        slots = tuple(Element._make(group, tuple(w)) for w in slot_words)
-        return WreathCoords(slots, eps)
+        rows = [group._step[letter] for letter in reversed(self.letters)]
+        image, slots = [], [None] * group.degree
+        for i in range(1, group.degree + 1):
+            j, word = i, []
+            for row_image, sections in rows:
+                if sections[j - 1] is not None:
+                    _push(word, sections[j - 1])
+                j = row_image[j - 1]
+            image.append(j)
+            slots[j - 1] = Element._make(group, tuple(reversed(word)))
+        return WreathCoords(tuple(slots), Perm._make(tuple(image)))
 
     def section(self, v: Union[str, Sequence[int]]) -> "Element":
         """The element induced on the subtree at vertex `v`."""
@@ -444,15 +464,16 @@ class Element:
         return g
 
     def act(self, v: Union[str, Sequence[int]]) -> Vertex:
-        """Image of the vertex `v`; length preserving."""
-        v = self.group.vertex(v)
-        out = []
-        g = self
-        for i in v:
-            cs = g.coords()
-            j = cs.perm(i)
-            out.append(j)
-            g = cs.slots[j - 1]
+        """Image of the vertex `v`: each letter, right to left, walks down it."""
+        step = self.group._step
+        out = list(self.group.vertex(v))
+        for state in reversed(self.letters):
+            for depth, i in enumerate(out):
+                image, sections = step[state]
+                out[depth] = image[i - 1]
+                state = sections[i - 1]
+                if state is None:
+                    break
         return tuple(out)
 
     # -- misc ---------------------------------------------------------------

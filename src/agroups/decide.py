@@ -171,7 +171,7 @@ class SectionClosure:
 def section_closure(g: Element) -> SectionClosure:
     nodes, perms, edges = _syntactic_closure(g)
     cls = _refine(perms, edges)
-    order, _ = _canonical_order(cls, perms, edges, 0)
+    order, rows = _canonical_order(cls, perms, edges, 0)
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
@@ -184,14 +184,8 @@ def section_closure(g: Element) -> SectionClosure:
             best = min(idxs, key=lambda i: (len(nodes[i].letters), nodes[i].letters))
             reps[c] = nodes[best]
 
-    number = {c: n for n, c in enumerate(order)}
-    node_of_class: Dict[int, int] = {}
-    for i, c in enumerate(cls):
-        node_of_class.setdefault(c, i)
     out_elems = tuple(reps[c] for c in order)
-    out_edges = tuple(
-        tuple(number[cls[j]] for j in edges[node_of_class[c]]) for c in order
-    )
+    out_edges = tuple(children for _, children in rows)
     return SectionClosure(g, out_elems, out_edges)
 
 
@@ -214,24 +208,15 @@ class OrderResult:
 
 
 def order(g: Element, bound: int = 64) -> OrderResult:
-    """Smallest n <= bound with g^n trivial, by iterated multiplication.
-
-    Powers are deduplicated through canonical keys; a repeated key cannot
-    occur before the identity does, so it only guards the loop.
-    """
+    """Smallest n <= bound with g^n trivial, by iterated multiplication."""
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
     identity_key = canonical_key(g.group.identity())
-    seen = set()
     power = g.group.identity()
     for n in range(1, bound + 1):
         power = power * g
-        key = canonical_key(power)
-        if key == identity_key:
+        if canonical_key(power) == identity_key:
             return OrderResult(n, bound)
-        if key in seen:
-            break
-        seen.add(key)
     return OrderResult(None, bound)
 
 

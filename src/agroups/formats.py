@@ -34,7 +34,7 @@ from .certify import (
     Transitive,
     Trivial,
 )
-from .core import GroupDef, make_group
+from .core import _NAME_RE, GroupDef, make_group
 from .words import ParseError, word_letters
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "parse_group_file",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@.]*\Z")
 _GEN_RE = re.compile(r"gen\s+([A-Za-z_][A-Za-z0-9_@.]*)\s*=\s*(.+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _VERTEX_RE = re.compile(r"(\.|\d+(\.\d+)*)\Z")

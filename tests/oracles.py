@@ -2,11 +2,50 @@
 
 Everything here goes through the level action only (coords + recursion or
 plain vertex images); none of it touches the section-closure machinery in
-`agroups.decide`, so it can stand witness against it.
+`agroups.decide`, so it can stand witness against it.  The coordinates
+come from `coords_reference`, a per-letter fold of the product rule kept
+apart from the table-driven `Element.coords` it checks.
 """
 
 from agroups import decide
-from agroups.core import Element
+from agroups.core import Element, Perm, WreathCoords, _push
+
+
+def coords_reference(g: Element) -> WreathCoords:
+    """Slot tuple and root permutation, by folding the product rule."""
+    group = g.group
+    d = group.degree
+    slot_words = [[] for _ in range(d)]
+    eps = Perm.identity(d)
+    for name, exp in g.letters:
+        st = group._states[name]
+        inv_eps = eps.inv()
+        if exp == 1:
+            for k in range(1, d + 1):
+                entry = st.slots[inv_eps(k) - 1]
+                if entry is not None:
+                    _push(slot_words[k - 1], (entry, 1))
+            eps = eps * st.perm
+        else:
+            sperm = st.perm
+            for k in range(1, d + 1):
+                entry = st.slots[sperm(inv_eps(k)) - 1]
+                if entry is not None:
+                    _push(slot_words[k - 1], (entry, -1))
+            eps = eps * sperm.inv()
+    slots = tuple(Element._make(group, tuple(w)) for w in slot_words)
+    return WreathCoords(slots, eps)
+
+
+def walk_reference(g: Element, v):
+    """Image of `v` under `g` and the section of `g` there, via `coords_reference`."""
+    out = []
+    for i in v:
+        cs = coords_reference(g)
+        j = cs.perm(i)
+        out.append(j)
+        g = cs.slots[j - 1]
+    return tuple(out), g
 
 
 def fixes_all_vertices(g: Element, depth: int, memo=None) -> bool:
@@ -21,7 +60,7 @@ def fixes_all_vertices(g: Element, depth: int, memo=None) -> bool:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        cs = e.coords()
+        cs = coords_reference(e)
         ok = cs.perm.is_identity() and all(walk(s, d - 1) for s in cs.slots)
         memo[key] = ok
         return ok
@@ -38,7 +77,7 @@ def activity_oracle(g: Element, levels: int, depth: int = 12):
     for _ in range(levels):
         nxt = []
         for e in current:
-            for s in e.coords().slots:
+            for s in coords_reference(e).slots:
                 if not fixes_all_vertices(s, depth, memo):
                     nxt.append(s)
         current = nxt

@@ -35,6 +35,11 @@ def test_perm_rejects_non_bijections():
         Perm.from_cycles(2, [(1, 3)])
     with pytest.raises(BadPerm):
         Perm.from_cycles(2, [(1, 1)])
+    # products are built unchecked, so mismatched degrees are refused up front
+    with pytest.raises(BadPerm):
+        Perm((2, 1)) * Perm.identity(3)
+    with pytest.raises(BadPerm):
+        Perm.identity(3) * Perm((2, 1))
 
 
 def test_make_group_validates(grig):

@@ -7,7 +7,7 @@ from agroups import decide
 from agroups.words import parse_word
 
 import property_checks as pc
-from oracles import fixes_all_vertices
+from oracles import coords_reference, fixes_all_vertices, walk_reference
 
 
 def test_coordinate_law(grig, bas, odo, rot3):
@@ -23,6 +23,23 @@ def test_coordinate_law(grig, bas, odo, rot3):
         for k in range(1, group.degree + 1):
             want = cg.slots[k - 1] * ch.slots[inv(k) - 1]
             assert decide.equals(cgh.slots[k - 1], want)
+
+
+def test_step_table_matches_reference(grig, bas, odo, rot3):
+    # coords, act and section read the step table; the per-letter fold is the reference
+    rng = Random(11)
+    for _ in range(2400):
+        group = rng.choice([grig, bas, odo, rot3])
+        g = pc.random_word(group, rng, 40)
+        got, want = g.coords(), coords_reference(g)
+        assert [s.letters for s in got.slots] == [s.letters for s in want.slots]
+        assert got.perm.image == want.perm.image
+        v = pc.random_vertex(group, rng, 10)
+        # constant paths are where the bundled states keep nontrivial sections deepest
+        for u in (v, (rng.randint(1, group.degree),) * len(v)):
+            image, section = walk_reference(g, u)
+            assert g.act(u) == image
+            assert g.section(u).letters == section.letters
 
 
 def test_action_compatibility(grig, bas, odo, rot3):
