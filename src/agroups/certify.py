@@ -8,14 +8,14 @@ assertion; the suite passes iff all do.
 
 This module also carries the desk-scale growth experiments: positive-word
 distinctness counting and Cayley-ball sizes, both deduplicated through
-canonical keys.
+the interned automaton ids of :mod:`agroups.decide`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
@@ -333,27 +333,33 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     """Count pairwise distinct nonempty positive words of length <= maxlen.
 
     Words are enumerated in length-then-lexicographic generator order and
-    deduplicated by canonical key; the first collision (if any) is
-    reported as (earlier word, later word).
+    deduplicated by interned id; the first collision (if any) is reported
+    as (earlier word, later word).
     """
     if maxlen < 1:
         raise ValueError(f"maxlen must be at least 1, got {maxlen}")
-    seen: Dict[object, Element] = {}
-    collision: Optional[Tuple[Element, Element]] = None
-    total = 0
+    table = decide._InternTable(gens.group)
+    letters = [table.intern(e) for e in gens.elements]
+    first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
+    collision = None
+    level, total = [0], 0
     for length in range(1, maxlen + 1):
-        for idxs in product(range(len(gens.elements)), repeat=length):
-            w = gens.group.identity()
-            for i in idxs:
-                w = w * gens.elements[i]
-            total += 1
-            key = decide.canonical_key(w)
-            if key in seen:
-                if collision is None:
-                    collision = (seen[key], w)
-            else:
-                seen[key] = w
-    return FreeSemigroupResult(maxlen, total, len(seen), collision)
+        # one id per word in product() order until the first collision; after
+        # it one per distinct id, as equal words have equal extensions
+        level = [table.mul(p, s) for p in level for s in letters]
+        words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
+        for idxs, x in zip(words, level):
+            if x not in first:
+                first[x] = idxs
+            elif collision is None:
+                collision = (first[x], idxs)
+        level = list(dict.fromkeys(level))
+        total += len(letters) ** length
+    table.log("free_semigroup_check")
+    pair = None if collision is None else tuple(
+        gens.group.element([x for i in idxs for x in gens.elements[i].letters]) for idxs in collision
+    )
+    return FreeSemigroupResult(maxlen, total, len(first), pair)
 
 
 def ball_sizes(
@@ -361,28 +367,21 @@ def ball_sizes(
 ) -> Tuple[int, ...]:
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
-    Breadth-first search with canonical-key deduplication; deterministic
-    for a fixed generating set.  Raises BoundExceeded past `max_elements`.
+    Breadth-first search over interned ids; deterministic for a fixed
+    generating set.  Raises BoundExceeded past `max_elements`.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    group = gens.group
-    letters: List[Element] = []
-    for e in gens.elements:
-        letters.append(e)
-        letters.append(e.inverse())
-    identity = group.identity()
-    ball = {decide.canonical_key(identity)}
-    sizes = [1]
-    frontier = [identity]
+    table = decide._InternTable(gens.group)
+    letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
+    ball, sizes, frontier = {0}, [1], [0]
     for _ in range(radius):
         new_elems = []
         for g in frontier:
             for s in letters:
-                h = g * s
-                key = decide.canonical_key(h)
-                if key not in ball:
-                    ball.add(key)
+                h = table.mul(g, s)
+                if h not in ball:
+                    ball.add(h)
                     new_elems.append(h)
                     if len(ball) > max_elements:
                         raise BoundExceeded(
@@ -390,4 +389,5 @@ def ball_sizes(
                         )
         frontier = new_elems
         sizes.append(len(ball))
+    table.log("ball_sizes")
     return tuple(sizes)

@@ -263,7 +263,7 @@ class GroupDef:
             if text in ("", "."):
                 return ()
             parts = text.split(".")
-            if not all(p.isdigit() for p in parts):
+            if not all(p.isascii() and p.isdigit() for p in parts):
                 raise BadVertex(f"malformed vertex {v!r}")
             v = tuple(int(p) for p in parts)
         v = tuple(v)
@@ -427,11 +427,8 @@ class Element:
     def __pow__(self, n: int) -> "Element":
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        result = Element._make(self.group, ())
-        for _ in range(abs(n)):
-            result = result * base
-        return result
+        base = (self if n >= 0 else self.inverse()).letters
+        return Element._make(self.group, _reduce(base * abs(n)))
 
     # -- wreath calculus ---------------------------------------------------
 
@@ -455,13 +452,21 @@ class Element:
         return WreathCoords(tuple(slots), Perm._make(tuple(image)))
 
     def section(self, v: Union[str, Sequence[int]]) -> "Element":
-        """The element induced on the subtree at vertex `v`."""
-        v = self.group.vertex(v)
-        g = self
-        for i in v:
-            cs = g.coords()
-            g = cs.slots[cs.perm(i) - 1]
-        return g
+        """The element induced on the subtree at vertex `v`: each letter walks
+        down it as in :meth:`act`, and the state it ends in is its section."""
+        step = self.group._step
+        out = list(self.group.vertex(v))
+        word: "list[Letter]" = []
+        for state in reversed(self.letters):
+            for depth, i in enumerate(out):
+                image, sections = step[state]
+                out[depth] = image[i - 1]
+                state = sections[i - 1]
+                if state is None:
+                    break
+            if state is not None:
+                _push(word, state)
+        return Element._make(self.group, tuple(reversed(word)))
 
     def act(self, v: Union[str, Sequence[int]]) -> Vertex:
         """Image of the vertex `v`: each letter, right to left, walks down it."""

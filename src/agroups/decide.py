@@ -12,6 +12,11 @@ permutations and letter-wise equivalent children), and the quotient is
 serialized by a breadth-first numbering from the element's own class.
 Two words get the same key exactly when they denote the same
 automorphism.
+
+The product loops (`order` here, `ball_sizes` and `free_semigroup_check`
+in :mod:`agroups.certify`) multiply ids of minimized automaton states, in
+a table built inside each call (GAP's FR and AutomGrp represent Mealy
+elements the same way).  Words enter through their canonical keys.
 """
 
 from __future__ import annotations
@@ -67,13 +72,13 @@ def equals(g: Element, h: Element) -> bool:
 def _syntactic_closure(g: Element):
     """BFS over reachable section words.
 
-    Returns (nodes, perms, edges) where edges[i][k-1] is the node index of
-    node i's section at letter k.
+    Returns (nodes, images, edges) where images[i] is node i's root image
+    tuple and edges[i][k-1] is the node index of its section at letter k.
     """
     d = g.group.degree
     nodes: List[Element] = [g]
     index: Dict[tuple, int] = {g.letters: 0}
-    perms: List[Perm] = []
+    images: List[Tuple[int, ...]] = []
     edges: List[Tuple[int, ...]] = []
     i = 0
     while i < len(nodes):
@@ -87,16 +92,16 @@ def _syntactic_closure(g: Element):
                 index[child.letters] = j
                 nodes.append(child)
             row.append(j)
-        perms.append(cs.perm)
+        images.append(cs.perm.image)
         edges.append(tuple(row))
         i += 1
-    return nodes, perms, edges
+    return nodes, images, edges
 
 
-def _refine(perms: List[Perm], edges: List[Tuple[int, ...]]) -> List[int]:
+def _refine(images: List[Tuple[int, ...]], edges: List[Tuple[int, ...]]) -> List[int]:
     """Partition refinement: class assignment per node, by first occurrence."""
-    n = len(perms)
-    cls = _rank([p.image for p in perms])
+    n = len(images)
+    cls = _rank(images)
     while True:
         sigs = [(cls[i], tuple(cls[j] for j in edges[i])) for i in range(n)]
         new = _rank(sigs)
@@ -115,7 +120,7 @@ def _rank(keys: list) -> List[int]:
     return out
 
 
-def _canonical_order(cls: List[int], perms, edges, start: int):
+def _canonical_order(cls: List[int], images, edges, start: int):
     """BFS numbering of the classes reachable from `start`'s class.
 
     Returns (class order list, per-class edge rows) where entry i of the
@@ -139,15 +144,15 @@ def _canonical_order(cls: List[int], perms, edges, start: int):
                 number[cj] = len(order)
                 order.append(cj)
             children.append(number[cj])
-        rows.append((perms[i].image, tuple(children)))
+        rows.append((images[i], tuple(children)))
     return order, rows
 
 
 def canonical_key(g: Element):
     """A total-ordered key with ``key(g) == key(h)`` iff ``equals(g, h)``."""
-    nodes, perms, edges = _syntactic_closure(g)
-    cls = _refine(perms, edges)
-    _, rows = _canonical_order(cls, perms, edges, 0)
+    nodes, images, edges = _syntactic_closure(g)
+    cls = _refine(images, edges)
+    _, rows = _canonical_order(cls, images, edges, 0)
     return tuple(rows)
 
 
@@ -169,9 +174,9 @@ class SectionClosure:
 
 
 def section_closure(g: Element) -> SectionClosure:
-    nodes, perms, edges = _syntactic_closure(g)
-    cls = _refine(perms, edges)
-    order, rows = _canonical_order(cls, perms, edges, 0)
+    nodes, images, edges = _syntactic_closure(g)
+    cls = _refine(images, edges)
+    order, rows = _canonical_order(cls, images, edges, 0)
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
@@ -187,6 +192,119 @@ def section_closure(g: Element) -> SectionClosure:
     out_elems = tuple(reps[c] for c in order)
     out_edges = tuple(children for _, children in rows)
     return SectionClosure(g, out_elems, out_edges)
+
+
+# -- interned minimized automata ------------------------------------------------
+
+
+class _InternTable:
+    """Minimized automaton states of one group: id x has root image
+    ``images[x]`` and section ``kids[x][k-1]`` at letter k; 0 is the identity.
+    No two ids denote the same automorphism, so a state whose sections have
+    ids is found by its row; only states on cycles need refinement and keys."""
+
+    def __init__(self, group):
+        row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
+        self.images, self.kids = [row[0]], [row[1]]
+        self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
+        self._keys: Dict[tuple, int] = {(row,): 0}  # 0 and the slow path's ids, by key
+        self._products: Dict[Tuple[int, int], int] = {}
+        self.slow = 0
+
+    def intern(self, g: Element) -> int:
+        rows = canonical_key(g)
+        return self._absorb([image for image, _ in rows], [kids for _, kids in rows])[0]
+
+    def mul(self, p: int, q: int) -> int:
+        """The id of ``p * q`` (q acts first), memoized on ``(p, q)``."""
+        if not p or not q or (p, q) in self._products:
+            return self._products.get((p, q), p or q)
+        images, kids = self.images, self.kids
+        pairs, index, new_images, refs = [(p, q)], {(p, q): 0}, [], []
+        for a, b in pairs:  # the list grows while it is walked
+            new_images.append(tuple(images[a][j - 1] for j in images[b]))
+            row = []
+            for j, kid in zip(images[b], kids[b]):
+                pair = (kids[a][j - 1], kid)
+                if not pair[0] or not pair[1] or pair in self._products:
+                    row.append(~self.mul(*pair))
+                    continue
+                if pair not in index:
+                    index[pair] = len(pairs)
+                    pairs.append(pair)
+                row.append(index[pair])
+            refs.append(tuple(row))
+        self._products.update(zip(pairs, self._absorb(new_images, refs)))
+        return self._products[(p, q)]
+
+    def log(self, job: str) -> None:
+        import logging  # here, so that importing the package does not load it
+
+        logging.getLogger("agroups").debug(
+            "%s: %d states, %d memoized products, %d slow paths",
+            job, len(self.images), len(self._products), self.slow,
+        )
+
+    def _absorb(self, images, refs) -> List[int]:
+        """Ids of new states; ``refs[i][k-1]`` is a new state's index or ``~id``.
+        When a pass finds no state whose sections all have ids, `_cycles` runs."""
+        ids: Dict[int, int] = {}
+        left = list(range(len(images) - 1, -1, -1))  # sections tend to come later
+        while left:
+            todo, left = left, []
+            for i in todo:
+                kids = tuple(~r if r < 0 else ids.get(r) for r in refs[i])
+                if None in kids:
+                    left.append(i)
+                    continue
+                if (images[i], kids) not in self._ids:
+                    self._ids[(images[i], kids)] = len(self.images)
+                    self.images.append(images[i])
+                    self.kids.append(kids)
+                ids[i] = self._ids[(images[i], kids)]
+            if len(left) == len(todo):
+                left = self._cycles(images, refs, ids, left)
+        return [ids[i] for i in range(len(images))]
+
+    def _cycles(self, images, refs, ids, left) -> list:
+        """Refine the new states `left` with the ids they reach.  A class
+        holding an id takes it; any other is looked up by canonical key.  If
+        none matched, none equals an id: a match would map a cycle of them
+        onto a cycle of ids, and each cycle of ids holds a keyed id, made
+        here.  So each class gets a new id.  Returns the states left."""
+        self.slow += 1
+        nodes = list(left)  # new states as indices, ids as ~id
+        at = {r: n for n, r in enumerate(nodes)}
+        node_images, edges = [], []
+        for r in nodes:  # the list grows while it is walked
+            if r >= 0:
+                node_images.append(images[r])
+                out = [~ids[c] if c in ids else c for c in refs[r]]
+            else:
+                node_images.append(self.images[~r])
+                out = [~k for k in self.kids[~r]]
+            for c in out:
+                if c not in at:
+                    at[c] = len(nodes)
+                    nodes.append(c)
+            edges.append(tuple(at[c] for c in out))
+        cls = _refine(node_images, edges)
+        m = len(left)  # nodes[:m] are the new states
+        found = {c: ~r for r, c in zip(nodes[m:], cls[m:])}
+        keys: Dict[int, tuple] = {}  # class -> (first node, key)
+        for n, c in enumerate(cls[:m]):
+            if c not in found and c not in keys:
+                keys[c] = n, tuple(_canonical_order(cls, node_images, edges, n)[1])
+                if keys[c][1] in self._keys:
+                    found[c] = self._keys[keys[c][1]]
+        if not any(c in found for c in cls[:m]):
+            found.update((c, len(self.images) + i) for i, c in enumerate(keys))
+            for c, (n, key) in keys.items():
+                self.images.append(node_images[n])
+                self.kids.append(tuple(found[cls[j]] for j in edges[n]))
+                self._ids[(self.images[-1], self.kids[-1])] = self._keys[key] = found[c]
+        ids.update((r, found[c]) for r, c in zip(left, cls) if c in found)
+        return [r for r in left if r not in ids]
 
 
 # -- order ------------------------------------------------------------------
@@ -208,16 +326,16 @@ class OrderResult:
 
 
 def order(g: Element, bound: int = 64) -> OrderResult:
-    """Smallest n <= bound with g^n trivial, by iterated multiplication."""
+    """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    identity_key = canonical_key(g.group.identity())
-    power = g.group.identity()
-    for n in range(1, bound + 1):
-        power = power * g
-        if canonical_key(power) == identity_key:
-            return OrderResult(n, bound)
-    return OrderResult(None, bound)
+    table = _InternTable(g.group)
+    x = table.intern(g)
+    power, n = x, 1
+    while power and n < bound:
+        power, n = table.mul(power, x), n + 1
+    table.log("order")
+    return OrderResult(None if power else n, bound)
 
 
 # -- portraits ----------------------------------------------------------------

@@ -63,7 +63,7 @@ def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ..
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         tokens = m.group(1).replace(",", " ").split()
-        if not tokens or not all(t.isdigit() for t in tokens):
+        if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
             raise ParseError(f"malformed cycle ({m.group(1)})", line_no)
         cycles.append(tuple(int(t) for t in tokens))
     return tuple(cycles)
@@ -125,7 +125,7 @@ def parse_group_file(text: str) -> GroupDef:
             name = value
         elif keyword == "alphabet":
             value = line[len("alphabet") :].strip()
-            if not value.isdigit() or int(value) < 1:
+            if not (value.isascii() and value.isdigit()) or int(value) < 1:
                 raise ParseError(f"invalid alphabet size {value!r}", line_no)
             if degree is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
@@ -235,7 +235,7 @@ def parse_certificate(text: str) -> Certificate:
             )
         elif keyword == "in_level_stab":
             level, word = _split_once(rest, ":", line_no)
-            if not level.isdigit():
+            if not (level.isascii() and level.isdigit()):
                 raise ParseError(f"invalid level {level!r}", line_no)
             assertions.append(InLevelStab(int(level), _check_word(word, line_no)))
         elif keyword == "supported_only_at":
@@ -246,7 +246,7 @@ def parse_certificate(text: str) -> Certificate:
                 )
             )
         elif keyword == "transitive":
-            if not rest.isdigit() or int(rest) < 1:
+            if not (rest.isascii() and rest.isdigit()) or int(rest) < 1:
                 raise ParseError(f"invalid depth {rest!r}", line_no)
             assertions.append(Transitive(int(rest)))
         elif keyword == "projection_witness":

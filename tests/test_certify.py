@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from agroups import certify, corpus, decide
@@ -118,6 +120,12 @@ def test_ball_monotone_and_dedup_agreement(grig, bas):
         assert sizes == pairwise_ball_sizes(gens, 4)
 
 
+def test_ball_sizes_basilica_radius_10(bas):
+    # the seed's canonical-key loop gave the same tuple (about 34 s on its own)
+    sizes = ball_sizes(GenSet.from_group(bas), 10)
+    assert sizes == (1, 5, 17, 53, 153, 421, 1125, 2945, 7545, 18973, 46957)
+
+
 def test_ball_cap(grig):
     with pytest.raises(BoundExceeded):
         ball_sizes(GenSet.from_group(grig), 4, max_elements=10)
@@ -140,3 +148,14 @@ def test_report_payload_shape(grig):
         "member_by_expression",
         "projection_witness",
     } <= kinds
+
+
+def test_product_loops_log_their_table(grig, caplog):
+    gens = GenSet.from_group(grig)
+    with caplog.at_level(logging.DEBUG, logger="agroups"):
+        ball_sizes(gens, 3)
+        free_semigroup_check(gens, 2)
+        decide.order(grig.generator("a"), 4)
+    jobs = [r.getMessage().split(":")[0] for r in caplog.records]
+    assert jobs == ["ball_sizes", "free_semigroup_check", "order"]
+    assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)

@@ -4,7 +4,7 @@ import pytest
 
 from agroups import corpus
 from agroups.cli import main
-from agroups.core import EmptyGroup
+from agroups.core import EmptyGroup, EngineError
 from agroups.formats import (
     format_group_file,
     parse_certificate,
@@ -204,3 +204,23 @@ def test_cli_subcommands_smoke(capsys):
         assert code == 0, argv
         if needle is not None:
             assert needle in out, (argv, out)
+
+
+def test_non_ascii_digits_are_engine_errors(tmp_path, capsys, grig):
+    # str.isdigit accepts superscripts, which int() then refuses
+    with pytest.raises(EngineError):
+        grig.vertex("²")
+    with pytest.raises(ParseError):
+        parse_group_file("group g\nalphabet ²\ngen a = (1, 1)\n")
+    with pytest.raises(ParseError):
+        parse_group_file("group g\nalphabet 2\ngen a = (1, 1) (1 ²)\n")
+    with pytest.raises(ParseError):
+        parse_certificate("suite s\nin_level_stab ² : a\n")
+    with pytest.raises(ParseError):
+        parse_certificate("suite s\ntransitive ²\n")
+    code, _, err = run_cli(capsys, "act", "--group", "grigorchuk", "--word", "a", "--vertex", "²")
+    assert code == 2 and "error" in err
+    agt = tmp_path / "sup.agt"
+    agt.write_text("group g\nalphabet ²\ngen a = (1, 1)\n")
+    code, _, err = run_cli(capsys, "eval", "--group", str(agt), "--word", "a")
+    assert code == 2 and "error" in err
