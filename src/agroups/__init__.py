@@ -17,6 +17,7 @@ The public surface, by area:
 """
 
 from .core import (
+    BadArgument,
     BadPerm,
     BadStateName,
     BadVertex,
@@ -40,6 +41,7 @@ from . import certify, corpus, decide, formats, subgroups
 __version__ = "0.1.0"
 
 __all__ = [
+    "BadArgument",
     "BadPerm",
     "BadStateName",
     "BadVertex",

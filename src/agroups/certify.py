@@ -19,7 +19,8 @@ from itertools import product, repeat
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BoundExceeded, Element, EngineError, GroupDef, Perm, format_cycles, format_vertex
+from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
+from .core import format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -337,7 +338,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     as (earlier word, later word).
     """
     if maxlen < 1:
-        raise ValueError(f"maxlen must be at least 1, got {maxlen}")
+        raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(e) for e in gens.elements]
     first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
@@ -371,7 +372,7 @@ def ball_sizes(
     generating set.  Raises BoundExceeded past `max_elements`.
     """
     if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+        raise BadArgument(f"radius must be nonnegative, got {radius}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     ball, sizes, frontier = {0}, [1], [0]

@@ -4,7 +4,7 @@ Groups are loaded from ``.agt`` files (or by bundled corpus name),
 certificates from ``.cert`` files.  Text output by default, ``--json``
 for structured output, ``--dot`` where a graph makes sense.  Exit codes:
 0 on success / all assertions passing, 1 when a certificate suite fails,
-2 for usage, parse and engine errors.
+2 for usage, parse and engine errors, out-of-range numbers included.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
-from .core import Element, EngineError, GroupDef, format_vertex
+from .core import EngineError, GroupDef, format_vertex
 from .decide import Portrait
 from .subgroups import GenSet, OrbitTable
 from .words import parse_word
@@ -26,9 +26,8 @@ def _load_group(source: str) -> GroupDef:
     path = Path(source)
     if path.exists():
         return formats.load_group_file(path)
-    stem = path.stem
-    if stem in corpus.GROUPS:
-        return corpus.load_group(stem)
+    if path.stem in corpus.GROUPS:
+        return corpus.load_group(path.stem)
     raise EngineError(f"group file {source!r} not found (and not a bundled group)")
 
 
@@ -36,21 +35,20 @@ def _load_certificate(source: str):
     path = Path(source)
     if path.exists():
         return formats.load_certificate_file(path)
-    stem = path.stem
-    if stem in corpus.CERTIFICATES:
-        return corpus.load_certificate(stem)
+    if path.stem in corpus.CERTIFICATES:
+        return corpus.load_certificate(path.stem)
     raise EngineError(f"certificate {source!r} not found (and not bundled)")
 
 
 def _gens(args, group: GroupDef) -> GenSet:
-    if getattr(args, "gens", None):
+    if args.gens:
         words = [w.strip() for w in args.gens.split(";") if w.strip()]
         return GenSet.from_elements([parse_word(w, group) for w in words], words)
     return GenSet.from_group(group)
 
 
-def _emit(args, payload: dict, text_lines: List[str]) -> None:
-    if getattr(args, "json", False):
+def _emit(args, payload: Optional[dict], text_lines: List[str]) -> None:
+    if payload is not None and args.json:
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -130,20 +128,166 @@ def chain_dot(report: subgroups.OrbitChainReport) -> str:
     return "\n".join(lines)
 
 
-# -- payload helpers -----------------------------------------------------------
+# -- the command table -----------------------------------------------------------
+
+# A handler maps the parsed arguments and the loaded group to its JSON payload
+# (None for graphviz, which --json does not replace), its text lines and its exit code.
+Result = Tuple[Optional[dict], List[str], int]
+
+# An option is (flag, argparse keywords); shared options are declared once.
+REQUIRED = {"required": True}
+INT = {"type": int, "required": True}
+GROUP = ("--group", {**REQUIRED, "help": ".agt file or bundled group name"})
+JSON = ("--json", {"action": "store_true", "help": "structured output"})
+WORD = ("--word", REQUIRED)
+VERTEX = ("--vertex", REQUIRED)
+DEPTH = ("--depth", INT)
+MAXLEN = ("--maxlen", INT)
+GENS = ("--gens", {"help": "semicolon-separated generator words"})
+DOT = ("--dot", {"action": "store_true", "help": "emit graphviz"})
+
+# (name, summary, handler, options after --group and --json), one row per subcommand
+# in `agt --help` order; the @command decorators below fill it at import and nothing else
+COMMANDS: List[Tuple[str, str, Callable[..., Result], tuple]] = []
 
 
-def _coords_payload(g: Element) -> dict:
+def command(name: str, summary: str, *options):
+    """Add the decorated handler to COMMANDS as subcommand `name`."""
+    def register(handler: Callable[..., Result]) -> Callable[..., Result]:
+        COMMANDS.append((name, summary, handler, options))
+        return handler
+
+    return register
+
+
+@command("eval", "word -> wreath coordinates", WORD)
+def cmd_eval(args, group: GroupDef) -> Result:
+    g = parse_word(args.word, group)
     cs = g.coords()
-    return {
+    slots = [str(s) for s in cs.slots]
+    payload = {
+        "group": group.name,
+        "word": str(g),
         "perm": str(cs.perm),
         "perm_images": list(cs.perm.image),
-        "slots": [str(s) for s in cs.slots],
+        "slots": slots,
     }
+    return payload, [f"word: {g}", f"perm: {cs.perm}", f"slots: ({', '.join(slots)})"], 0
 
 
-def _orbit_payload(table: OrbitTable) -> dict:
-    return {
+@command("trivial", "does the word denote the identity?", WORD)
+def cmd_trivial(args, group: GroupDef) -> Result:
+    value = decide.is_trivial(parse_word(args.word, group))
+    payload = {"group": group.name, "word": args.word, "trivial": value}
+    return payload, [str(value).lower()], 0
+
+
+@command("equal", "do two words denote the same automorphism?", WORD, ("--other", REQUIRED))
+def cmd_equal(args, group: GroupDef) -> Result:
+    value = decide.equals(parse_word(args.word, group), parse_word(args.other, group))
+    payload = {"group": group.name, "left": args.word, "right": args.other, "equal": value}
+    return payload, [str(value).lower()], 0
+
+
+@command(
+    "order", "order of the element, up to a bound", WORD, ("--bound", {"type": int, "default": 64})
+)
+def cmd_order(args, group: GroupDef) -> Result:
+    res = decide.order(parse_word(args.word, group), args.bound)
+    payload = {
+        "group": group.name,
+        "word": args.word,
+        "bound": res.bound,
+        "order": res.value,
+        "exact": res.exact,
+    }
+    return payload, [str(res)], 0
+
+
+@command("section", "section of the word at a vertex", WORD, VERTEX)
+def cmd_section(args, group: GroupDef) -> Result:
+    s = str(parse_word(args.word, group).section(args.vertex))
+    payload = {"group": group.name, "word": args.word, "vertex": args.vertex, "section": s}
+    return payload, [s], 0
+
+
+@command("act", "image of a vertex under the word", WORD, VERTEX)
+def cmd_act(args, group: GroupDef) -> Result:
+    image = format_vertex(parse_word(args.word, group).act(args.vertex))
+    payload = {"group": group.name, "word": args.word, "vertex": args.vertex, "image": image}
+    return payload, [image], 0
+
+
+@command("portrait", "tree of root permutations", WORD, DEPTH, DOT)
+def cmd_portrait(args, group: GroupDef) -> Result:
+    p = decide.portrait(parse_word(args.word, group), args.depth)
+    if args.dot:
+        return None, [portrait_dot(p)], 0
+
+    lines = []
+
+    def walk(node: Portrait, path: tuple) -> dict:
+        # one pre-order pass writes the text line and builds the payload of each node
+        at = "  " * len(path) + format_vertex(path)
+        if node.residual is not None:
+            lines.append(f"{at}: residual {node.residual}")
+            return {"residual": str(node.residual)}
+        lines.append(f"{at}: {node.perm}")
+        children = [walk(c, path + (i,)) for i, c in enumerate(node.children, start=1)]
+        return {"perm": str(node.perm), "children": children}
+
+    payload = {
+        "group": group.name,
+        "word": args.word,
+        "depth": args.depth,
+        "portrait": walk(p, ()),
+    }
+    return payload, lines, 0
+
+
+@command("activity", "counts of active vertices per level", WORD, ("--levels", INT))
+def cmd_activity(args, group: GroupDef) -> Result:
+    seq = decide.activity_sequence(parse_word(args.word, group), args.levels)
+    payload = {"group": group.name, "word": args.word, "activity": list(seq)}
+    return payload, [" ".join(map(str, seq))], 0
+
+
+@command("closure", "all distinct sections of the word", WORD, DOT)
+def cmd_closure(args, group: GroupDef) -> Result:
+    sc = decide.section_closure(parse_word(args.word, group))
+    if args.dot:
+        return None, [closure_dot(sc)], 0
+    payload = {
+        "group": group.name,
+        "word": args.word,
+        "size": sc.size,
+        "elements": [str(e) for e in sc.elements],
+        "edges": [list(row) for row in sc.edges],
+    }
+    lines = [f"{sc.size} distinct sections"]
+    for i, elem in enumerate(sc.elements):
+        targets = ", ".join(f"{letter}->{j}" for letter, j in enumerate(sc.edges[i], 1))
+        lines.append(f"  [{i}] {elem}  ({targets})")
+    return payload, lines, 0
+
+
+@command(
+    "orbits",
+    "orbit partition of each level",
+    DEPTH,
+    GENS,
+    ("--dot", {"action": "store_true", "help": "emit one level's action graph"}),
+    ("--level", {"type": int, "help": "level for --dot (default: --depth)"}),
+)
+def cmd_orbits(args, group: GroupDef) -> Result:
+    level = args.depth if args.level is None else args.level
+    if args.dot and not 0 <= level <= args.depth:
+        raise EngineError(f"--level must lie in 0..{args.depth}, got {level}")
+    table = subgroups.orbits(_gens(args, group), args.depth)
+    if args.dot:
+        return None, [schreier_dot(table, level)], 0
+    payload = {
+        "group": group.name,
         "depth": table.depth,
         "counts": list(table.counts),
         "levels": [
@@ -156,170 +300,22 @@ def _orbit_payload(table: OrbitTable) -> dict:
             for lv in table.levels
         ],
     }
-
-
-# -- subcommands ----------------------------------------------------------------
-
-
-def cmd_eval(args) -> int:
-    group = _load_group(args.group)
-    g = parse_word(args.word, group)
-    payload = {"group": group.name, "word": str(g), **_coords_payload(g)}
-    _emit(
-        args,
-        payload,
-        [f"word: {g}", f"perm: {payload['perm']}", f"slots: ({', '.join(payload['slots'])})"],
-    )
-    return 0
-
-
-def cmd_trivial(args) -> int:
-    group = _load_group(args.group)
-    value = decide.is_trivial(parse_word(args.word, group))
-    _emit(args, {"group": group.name, "word": args.word, "trivial": value}, [str(value).lower()])
-    return 0
-
-
-def cmd_equal(args) -> int:
-    group = _load_group(args.group)
-    value = decide.equals(parse_word(args.word, group), parse_word(args.other, group))
-    _emit(
-        args,
-        {"group": group.name, "left": args.word, "right": args.other, "equal": value},
-        [str(value).lower()],
-    )
-    return 0
-
-
-def cmd_order(args) -> int:
-    group = _load_group(args.group)
-    res = decide.order(parse_word(args.word, group), args.bound)
-    payload = {
-        "group": group.name,
-        "word": args.word,
-        "bound": res.bound,
-        "order": res.value,
-        "exact": res.exact,
-    }
-    _emit(args, payload, [str(res)])
-    return 0
-
-
-def cmd_section(args) -> int:
-    group = _load_group(args.group)
-    s = parse_word(args.word, group).section(args.vertex)
-    _emit(
-        args,
-        {"group": group.name, "word": args.word, "vertex": args.vertex, "section": str(s)},
-        [str(s)],
-    )
-    return 0
-
-
-def cmd_act(args) -> int:
-    group = _load_group(args.group)
-    image = parse_word(args.word, group).act(args.vertex)
-    _emit(
-        args,
-        {
-            "group": group.name,
-            "word": args.word,
-            "vertex": args.vertex,
-            "image": format_vertex(image),
-        },
-        [format_vertex(image)],
-    )
-    return 0
-
-
-def cmd_portrait(args) -> int:
-    group = _load_group(args.group)
-    p = decide.portrait(parse_word(args.word, group), args.depth)
-    if args.dot:
-        print(portrait_dot(p))
-        return 0
-
-    def node_payload(node: Portrait) -> dict:
-        if node.residual is not None:
-            return {"residual": str(node.residual)}
-        return {
-            "perm": str(node.perm),
-            "children": [node_payload(c) for c in node.children],
-        }
-
-    payload = {
-        "group": group.name,
-        "word": args.word,
-        "depth": args.depth,
-        "portrait": node_payload(p),
-    }
-    lines = []
-
-    def render(node: Portrait, path: tuple) -> None:
-        indent = "  " * len(path)
-        at = format_vertex(path)
-        if node.residual is not None:
-            lines.append(f"{indent}{at}: residual {node.residual}")
-        else:
-            lines.append(f"{indent}{at}: {node.perm}")
-            for i, child in enumerate(node.children, start=1):
-                render(child, path + (i,))
-
-    render(p, ())
-    _emit(args, payload, lines)
-    return 0
-
-
-def cmd_activity(args) -> int:
-    group = _load_group(args.group)
-    seq = decide.activity_sequence(parse_word(args.word, group), args.levels)
-    _emit(
-        args,
-        {"group": group.name, "word": args.word, "activity": list(seq)},
-        [" ".join(map(str, seq))],
-    )
-    return 0
-
-
-def cmd_closure(args) -> int:
-    group = _load_group(args.group)
-    sc = decide.section_closure(parse_word(args.word, group))
-    if args.dot:
-        print(closure_dot(sc))
-        return 0
-    payload = {
-        "group": group.name,
-        "word": args.word,
-        "size": sc.size,
-        "elements": [str(e) for e in sc.elements],
-        "edges": [list(row) for row in sc.edges],
-    }
-    lines = [f"{sc.size} distinct sections"]
-    for i, elem in enumerate(sc.elements):
-        targets = ", ".join(f"{letter}->{j}" for letter, j in enumerate(sc.edges[i], 1))
-        lines.append(f"  [{i}] {elem}  ({targets})")
-    _emit(args, payload, lines)
-    return 0
-
-
-def cmd_orbits(args) -> int:
-    group = _load_group(args.group)
-    table = subgroups.orbits(_gens(args, group), args.depth)
-    if args.dot:
-        print(schreier_dot(table, args.level if args.level is not None else args.depth))
-        return 0
-    payload = {"group": group.name, **_orbit_payload(table)}
     lines = [
         f"level {lv.level}: {lv.count} orbit(s), sizes "
         + ", ".join(str(len(b)) for b in lv.blocks)
         for lv in table.levels
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_stab(args) -> int:
-    group = _load_group(args.group)
+@command(
+    "stab",
+    "Schreier generators of a stabilizer",
+    ("--level", {"type": int}),
+    ("--vertex", {}),
+    GENS,
+)
+def cmd_stab(args, group: GroupDef) -> Result:
     gens = _gens(args, group)
     if (args.level is None) == (args.vertex is None):
         raise EngineError("give exactly one of --level or --vertex")
@@ -335,29 +331,18 @@ def cmd_stab(args) -> int:
         "generators": [str(g) for g in st.generators],
         "transversal_size": len(st.transversal),
     }
-    _emit(
-        args,
-        payload,
-        [f"stabilizer of {target}: {len(st.generators)} generator(s)"]
-        + [f"  {g}" for g in st.generators],
-    )
-    return 0
+    lines = [f"stabilizer of {target}: {len(st.generators)} generator(s)"]
+    return payload, lines + [f"  {g}" for g in st.generators], 0
 
 
-def cmd_project(args) -> int:
-    group = _load_group(args.group)
-    proj = subgroups.projection_gens(_gens(args, group), args.vertex)
-    payload = {
-        "group": group.name,
-        "vertex": args.vertex,
-        "generators": [str(g) for g in proj.elements],
-    }
-    _emit(args, payload, [str(g) for g in proj.elements])
-    return 0
+@command("project", "sections of the vertex stabilizer", VERTEX, GENS)
+def cmd_project(args, group: GroupDef) -> Result:
+    found = [str(g) for g in subgroups.projection_gens(_gens(args, group), args.vertex).elements]
+    return {"group": group.name, "vertex": args.vertex, "generators": found}, found, 0
 
 
-def cmd_rist(args) -> int:
-    group = _load_group(args.group)
+@command("rist", "witnesses supported in a single subtree", VERTEX, MAXLEN, GENS)
+def cmd_rist(args, group: GroupDef) -> Result:
     found = subgroups.rist_elements(_gens(args, group), args.vertex, args.maxlen)
     payload = {
         "group": group.name,
@@ -365,20 +350,14 @@ def cmd_rist(args) -> int:
         "maxlen": args.maxlen,
         "witnesses": [str(g) for g in found],
     }
-    _emit(
-        args,
-        payload,
-        [f"{len(found)} witness(es)"] + [f"  {g}" for g in found],
-    )
-    return 0
+    return payload, [f"{len(found)} witness(es)"] + [f"  {g}" for g in found], 0
 
 
-def cmd_chain(args) -> int:
-    group = _load_group(args.group)
+@command("chain", "orbit counts and chains below a vertex", VERTEX, DEPTH, GENS, DOT)
+def cmd_chain(args, group: GroupDef) -> Result:
     report = subgroups.orbit_chain(_gens(args, group), args.vertex, args.depth)
     if args.dot:
-        print(chain_dot(report))
-        return 0
+        return None, [chain_dot(report)], 0
     payload = {
         "group": group.name,
         "vertex": args.vertex,
@@ -399,12 +378,18 @@ def cmd_chain(args) -> int:
             )
     else:
         lines.append(f"not stabilized within depth {args.depth}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_commutator_witness(args) -> int:
-    group = _load_group(args.group)
+@command(
+    "commutator-witness",
+    "plant a witness as an inner commutator coordinate",
+    ("--word", {**REQUIRED, "help": "level-fixing element g"}),
+    ("--slot", {**INT, "help": "outer slot k"}),
+    ("--inner", {**INT, "help": "inner slot m"}),
+    ("--witness", {**REQUIRED, "help": "element to plant"}),
+)
+def cmd_commutator_witness(args, group: GroupDef) -> Result:
     g = parse_word(args.word, group)
     w = parse_word(args.witness, group)
     cw = subgroups.commutator_witness(g, args.slot, args.inner, w)
@@ -419,31 +404,29 @@ def cmd_commutator_witness(args) -> int:
         "section_at": format_vertex(cw.vertex),
         "verified": cw.verified,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"companion h = {cw.h}",
-            f"[g, h] = {cw.commutator}",
-            f"section at {format_vertex(cw.vertex)} equals witness: {cw.verified}",
-        ],
-    )
-    return 0 if cw.verified else 1
+    lines = [
+        f"companion h = {cw.h}",
+        f"[g, h] = {cw.commutator}",
+        f"section at {format_vertex(cw.vertex)} equals witness: {cw.verified}",
+    ]
+    return payload, lines, 0 if cw.verified else 1
 
 
-def cmd_ball(args) -> int:
-    group = _load_group(args.group)
+@command(
+    "ball",
+    "sizes of word-metric balls",
+    ("--radius", INT),
+    GENS,
+    ("--cap", {"type": int, "default": 500_000}),
+)
+def cmd_ball(args, group: GroupDef) -> Result:
     sizes = certify.ball_sizes(_gens(args, group), args.radius, args.cap)
-    _emit(
-        args,
-        {"group": group.name, "radius": args.radius, "sizes": list(sizes)},
-        [" ".join(map(str, sizes))],
-    )
-    return 0
+    payload = {"group": group.name, "radius": args.radius, "sizes": list(sizes)}
+    return payload, [" ".join(map(str, sizes))], 0
 
 
-def cmd_freesemigroup(args) -> int:
-    group = _load_group(args.group)
+@command("freesemigroup", "distinct positive words", MAXLEN, GENS)
+def cmd_freesemigroup(args, group: GroupDef) -> Result:
     res = certify.free_semigroup_check(_gens(args, group), args.maxlen)
     payload = {
         "group": group.name,
@@ -455,16 +438,17 @@ def cmd_freesemigroup(args) -> int:
     lines = [f"{res.distinct} distinct of {res.total_words} positive words"]
     if res.collision is not None:
         lines.append(f"first collision: {res.collision[0]} = {res.collision[1]}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_certify(args) -> int:
-    group = _load_group(args.group)
-    cert = _load_certificate(args.suite)
-    report = certify.run_suite(cert, group)
-    _emit(args, report.to_payload(), report.lines())
-    return 0 if report.passed else 1
+@command(
+    "certify",
+    "run a certificate suite",
+    ("--suite", {**REQUIRED, "help": ".cert file or bundled suite name"}),
+)
+def cmd_certify(args, group: GroupDef) -> Result:
+    report = certify.run_suite(_load_certificate(args.suite), group)
+    return report.to_payload(), report.lines(), 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,108 +458,23 @@ def build_parser() -> argparse.ArgumentParser:
         "defined by wreath recursion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--group", required=True, help=".agt file or bundled group name")
-        p.add_argument("--json", action="store_true", help="structured output")
-        return p
-
-    p = add("eval", cmd_eval, help="word -> wreath coordinates")
-    p.add_argument("--word", required=True)
-
-    p = add("trivial", cmd_trivial, help="does the word denote the identity?")
-    p.add_argument("--word", required=True)
-
-    p = add("equal", cmd_equal, help="do two words denote the same automorphism?")
-    p.add_argument("--word", required=True)
-    p.add_argument("--other", required=True)
-
-    p = add("order", cmd_order, help="order of the element, up to a bound")
-    p.add_argument("--word", required=True)
-    p.add_argument("--bound", type=int, default=64)
-
-    p = add("section", cmd_section, help="section of the word at a vertex")
-    p.add_argument("--word", required=True)
-    p.add_argument("--vertex", required=True)
-
-    p = add("act", cmd_act, help="image of a vertex under the word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--vertex", required=True)
-
-    p = add("portrait", cmd_portrait, help="tree of root permutations")
-    p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--dot", action="store_true", help="emit graphviz")
-
-    p = add("activity", cmd_activity, help="counts of active vertices per level")
-    p.add_argument("--word", required=True)
-    p.add_argument("--levels", type=int, required=True)
-
-    p = add("closure", cmd_closure, help="all distinct sections of the word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--dot", action="store_true", help="emit graphviz")
-
-    p = add("orbits", cmd_orbits, help="orbit partition of each level")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-    p.add_argument("--dot", action="store_true", help="emit one level's action graph")
-    p.add_argument("--level", type=int, help="level for --dot (default: --depth)")
-
-    p = add("stab", cmd_stab, help="Schreier generators of a stabilizer")
-    p.add_argument("--level", type=int)
-    p.add_argument("--vertex")
-    p.add_argument("--gens", help="semicolon-separated generator words")
-
-    p = add("project", cmd_project, help="sections of the vertex stabilizer")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-
-    p = add("rist", cmd_rist, help="witnesses supported in a single subtree")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-
-    p = add("chain", cmd_chain, help="orbit counts and chains below a vertex")
-    p.add_argument("--vertex", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-    p.add_argument("--dot", action="store_true", help="emit graphviz")
-
-    p = add(
-        "commutator-witness",
-        cmd_commutator_witness,
-        help="plant a witness as an inner commutator coordinate",
-    )
-    p.add_argument("--word", required=True, help="level-fixing element g")
-    p.add_argument("--slot", type=int, required=True, help="outer slot k")
-    p.add_argument("--inner", type=int, required=True, help="inner slot m")
-    p.add_argument("--witness", required=True, help="element to plant")
-
-    p = add("ball", cmd_ball, help="sizes of word-metric balls")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-    p.add_argument("--cap", type=int, default=500_000)
-
-    p = add("freesemigroup", cmd_freesemigroup, help="distinct positive words")
-    p.add_argument("--maxlen", type=int, required=True)
-    p.add_argument("--gens", help="semicolon-separated generator words")
-
-    p = add("certify", cmd_certify, help="run a certificate suite")
-    p.add_argument("--suite", required=True, help=".cert file or bundled suite name")
-
+    for name, summary, handler, options in COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=handler)
+        for flag, keywords in (GROUP, JSON) + options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        payload, lines, code = args.fn(args, _load_group(args.group))
     except EngineError as exc:
         print(f"agt: error: {exc}", file=sys.stderr)
         return 2
+    _emit(args, payload, lines)
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ import re
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
+    "BadArgument",
     "BadPerm",
     "BadStateName",
     "BadVertex",
@@ -88,6 +89,10 @@ class MixedGroups(EngineError):
 
 class BoundExceeded(EngineError):
     pass
+
+
+class BadArgument(EngineError, ValueError):
+    """A number outside the range an operation accepts."""
 
 
 Vertex = Tuple[int, ...]

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import Element, MixedGroups, Perm
+from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm
 
 __all__ = [
     "OrderResult",
@@ -39,6 +39,8 @@ __all__ = [
     "portrait",
     "section_closure",
 ]
+
+PORTRAIT_LEAF_CAP = 4096  # binary depth 12, ternary depth 7; desk scale
 
 
 def is_trivial(g: Element) -> bool:
@@ -328,7 +330,7 @@ class OrderResult:
 def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
+        raise BadArgument(f"bound must be positive, got {bound}")
     table = _InternTable(g.group)
     x = table.intern(g)
     power, n = x, 1
@@ -363,7 +365,10 @@ class Portrait:
 
 def portrait(g: Element, depth: int) -> Portrait:
     if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+        raise BadArgument(f"depth must be nonnegative, got {depth}")
+    # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
+    if max(g.group.degree, 2) ** min(depth, PORTRAIT_LEAF_CAP) > PORTRAIT_LEAF_CAP:
+        raise BoundExceeded(f"depth {depth} gives over {PORTRAIT_LEAF_CAP} leaves")
     if depth == 0:
         return Portrait(None, (), g)
     cs = g.coords()
@@ -384,7 +389,7 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     section words, and triviality checks are memoized per invocation.
     """
     if levels < 0:
-        raise ValueError(f"levels must be nonnegative, got {levels}")
+        raise BadArgument(f"levels must be nonnegative, got {levels}")
     memo: Dict[tuple, bool] = {}
 
     def trivial(e: Element) -> bool:

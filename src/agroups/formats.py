@@ -47,7 +47,7 @@ __all__ = [
 
 _GEN_RE = re.compile(r"gen\s+([A-Za-z_][A-Za-z0-9_@.]*)\s*=\s*(.+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_VERTEX_RE = re.compile(r"(\.|\d+(\.\d+)*)\Z")
+_VERTEX_RE = re.compile(r"(\.|[0-9]+(\.[0-9]+)*)\Z")
 
 
 def _strip(raw: str) -> str:
@@ -188,7 +188,7 @@ def _split_once(rest: str, sep: str, line_no: int) -> Tuple[str, str]:
     return left.strip(), right.strip()
 
 
-_DISTINCT_RE = re.compile(r"\(([^()]*)\)\s+maxlen\s+(\d+)\s+expect\s+(\d+)\Z")
+_DISTINCT_RE = re.compile(r"\(([^()]*)\)\s+maxlen\s+([0-9]+)\s+expect\s+([0-9]+)\Z")
 
 
 def parse_certificate(text: str) -> Certificate:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import decide
 from .core import (
+    BadArgument,
     BoundExceeded,
     Element,
     EngineError,
@@ -149,7 +150,7 @@ def orbits(gens: GenSet, depth: int, cap: int = ORBIT_DEPTH_CAP) -> OrbitTable:
     the generators alone already yields the full group orbits.
     """
     if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
+        raise BadArgument(f"depth must be at least 1, got {depth}")
     if depth > cap:
         raise BoundExceeded(f"depth {depth} exceeds cap {cap}")
     group = gens.group
@@ -259,7 +260,7 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     the finite orbit of configurations.
     """
     if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+        raise BadArgument(f"level must be nonnegative, got {level}")
     group = gens.group
     verts = tuple(group.vertices(level))
     base = verts  # identity configuration
@@ -340,7 +341,7 @@ def rist_elements(
     This is a bounded search, not a membership decision.
     """
     if maxlen < 1:
-        raise ValueError(f"maxlen must be at least 1, got {maxlen}")
+        raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
     group = gens.group
     vertex = group.vertex(vertex)
     letters = []
@@ -496,7 +497,7 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
     if w.group != group:
         raise MixedGroups("witness element must live in the same group as g")
     if not (1 <= k <= d and 1 <= m <= d):
-        raise ValueError(f"slot indices must lie in 1..{d}, got k={k}, m={m}")
+        raise BadArgument(f"slot indices must lie in 1..{d}, got k={k}, m={m}")
     cs = g.coords()
     if not cs.perm.is_identity():
         raise NotLevelFixing(f"element {g} does not fix level 1")

@@ -41,7 +41,7 @@ class Token(NamedTuple):
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_@.]*)"
-    r"|(?P<int>-?\d+)"
+    r"|(?P<int>-?[0-9]+)"
     r"|(?P<arrow>->)"
     r"|(?P<sym>[()\[\],^=:])"
 )
@@ -66,6 +66,10 @@ def tokenize(text: str, line: Optional[int] = None) -> List[Token]:
     return tokens
 
 
+# Brackets nest at most this deep; each level costs the recursive descent three frames.
+MAX_NESTING = 100
+
+
 def _invert(letters: List[Letter]) -> List[Letter]:
     return [(n, -e) for n, e in reversed(letters)]
 
@@ -77,6 +81,7 @@ class _WordParser:
         self.tokens = tokens
         self.pos = 0
         self.line = line
+        self.depth = 0
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -129,15 +134,21 @@ class _WordParser:
             if tok.value == 1:
                 return []
             raise ParseError(f"unexpected number {tok.value}", self.line, tok.col)
+        if tok.kind in ("(", "["):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", self.line, tok.col)
         if tok.kind == "(":
             inner = self.word(stop=(")",))
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "[":
             left = self.word(stop=(",",))
             self.expect(",")
             right = self.word(stop=("]",))
             self.expect("]")
+            self.depth -= 1
             return _invert(left) + _invert(right) + left + right
         raise ParseError(f"unexpected token {tok.value!r}", self.line, tok.col)
 

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from agroups import decide
+from agroups.core import BoundExceeded, make_group
 from agroups.words import parse_word
 
 from oracles import activity_oracle, fixes_all_vertices
@@ -82,6 +83,24 @@ def test_portrait(grig, bas):
     # residuals indexed by vertex: the active slot sits at the vertex sent to 2
     assert decide.equals(p.children[0].residual, bas.generator("a"))
     assert decide.is_trivial(p.children[1].residual)
+
+
+def test_portrait_leaf_cap(grig):
+    cap = decide.PORTRAIT_LEAF_CAP
+    assert cap == 4096
+    assert decide.portrait(grig.generator("a"), 12).depth == 12
+    for depth in (13, 1200, 10**9):
+        with pytest.raises(BoundExceeded):
+            decide.portrait(grig.generator("a"), depth)
+    rot = make_group(3, [("r", ("1", "1", "1"), ((1, 2, 3),))])
+    assert decide.portrait(rot.generator("r"), 7).depth == 7
+    with pytest.raises(BoundExceeded):
+        decide.portrait(rot.generator("r"), 8)
+    # degree 1 counts as degree 2, which also bounds the recursion depth
+    one = make_group(1, [("x", ("x",), None)])
+    assert decide.portrait(one.generator("x"), 12).depth == 12
+    with pytest.raises(BoundExceeded):
+        decide.portrait(one.generator("x"), 2000)
 
 
 def test_portrait_consistency(grig, bas):

@@ -10,7 +10,7 @@ from agroups.formats import (
     parse_certificate,
     parse_group_file,
 )
-from agroups.words import ParseError
+from agroups.words import ParseError, word_letters
 
 
 GRIG_TEXT = """\
@@ -218,9 +218,48 @@ def test_non_ascii_digits_are_engine_errors(tmp_path, capsys, grig):
         parse_certificate("suite s\nin_level_stab ² : a\n")
     with pytest.raises(ParseError):
         parse_certificate("suite s\ntransitive ²\n")
+    with pytest.raises(ParseError):
+        parse_certificate("suite s\ndistinct_positive_words (a, b) maxlen ٣ expect ٤\n")
+    with pytest.raises(ParseError):
+        parse_certificate("suite s\nsupported_only_at ٢ : a\n")
+    with pytest.raises(ParseError):
+        word_letters("(a b)^٣")
     code, _, err = run_cli(capsys, "act", "--group", "grigorchuk", "--word", "a", "--vertex", "²")
     assert code == 2 and "error" in err
+    code, out, err = run_cli(capsys, "eval", "--group", "grigorchuk", "--word", "(a b)^٣")
+    assert code == 2 and out == "" and "error" in err
     agt = tmp_path / "sup.agt"
     agt.write_text("group g\nalphabet ²\ngen a = (1, 1)\n")
     code, _, err = run_cli(capsys, "eval", "--group", str(agt), "--word", "a")
     assert code == 2 and "error" in err
+
+
+G, B = ["--group", "grigorchuk"], ["--group", "basilica"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", *G, "--radius", "-1"],
+        ["order", *G, "--word", "a", "--bound", "0"],
+        ["orbits", *G, "--depth", "0"],
+        ["chain", *G, "--vertex", ".", "--depth", "0"],
+        ["stab", *G, "--level", "-1"],
+        ["rist", *G, "--vertex", "2", "--maxlen", "0"],
+        ["freesemigroup", *G, "--maxlen", "0"],
+        ["activity", *G, "--word", "b", "--levels", "-1"],
+        ["portrait", *G, "--word", "b", "--depth", "-1"],
+        ["commutator-witness", *B, "--word", "a", "--slot", "9", "--inner", "1", "--witness", "b"],
+        ["orbits", *G, "--depth", "3", "--dot", "--level", "7"],
+        ["orbits", *G, "--depth", "2", "--dot", "--level", "-1"],
+        ["portrait", *G, "--word", "b", "--depth", "1200"],
+        ["portrait", *G, "--word", "b", "--depth", "20"],
+        ["eval", *G, "--word", "(" * 2000 + "a" + ")" * 2000],
+    ],
+    ids=lambda argv: " ".join([argv[0]] + argv[3:])[:40],
+)
+def test_out_of_range_numbers_exit_2(capsys, argv):
+    # each raised ValueError, IndexError or RecursionError, or printed a wrong answer
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: ")

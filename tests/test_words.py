@@ -1,7 +1,7 @@
 import pytest
 
 from agroups.core import UnknownGenerator
-from agroups.words import ParseError, parse_word, word_letters
+from agroups.words import MAX_NESTING, ParseError, parse_word, word_letters
 
 
 def test_basic_words(grig):
@@ -49,6 +49,20 @@ def test_nesting(grig):
     ).letters
     assert parse_word("[a, [b, c]]", grig) is not None
     assert parse_word("(1)^5", grig).letters == ()
+
+
+def test_nesting_bound():
+    # brackets deeper than the bound are a ParseError, not a RecursionError
+    for inner in ("a", "[a, b]"):  # both bracket kinds count
+        depth = MAX_NESTING - inner.count("[")
+        ok = "(" * depth + inner + ")" * depth
+        assert word_letters(ok)
+        with pytest.raises(ParseError, match="nested deeper"):
+            word_letters("(" + ok + ")")
+    with pytest.raises(ParseError):
+        word_letters("(" * 2000 + "a" + ")" * 2000)
+    # the bound counts depth, not brackets: siblings never add up
+    assert len(word_letters("(a) " * (3 * MAX_NESTING))) == 3 * MAX_NESTING
 
 
 def test_errors(grig):
