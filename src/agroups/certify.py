@@ -19,7 +19,7 @@ from itertools import product, repeat
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
+from .core import BadArgument, Element, EngineError, GroupDef, Perm
 from .core import format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
@@ -364,7 +364,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
 
 
 def ball_sizes(
-    gens: GenSet, radius: int, max_elements: int = 500_000
+    gens: GenSet, radius: int, max_elements: int = decide.BALL_CAP
 ) -> Tuple[int, ...]:
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
@@ -375,20 +375,8 @@ def ball_sizes(
         raise BadArgument(f"radius must be nonnegative, got {radius}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
-    ball, sizes, frontier = {0}, [1], [0]
-    for _ in range(radius):
-        new_elems = []
-        for g in frontier:
-            for s in letters:
-                h = table.mul(g, s)
-                if h not in ball:
-                    ball.add(h)
-                    new_elems.append(h)
-                    if len(ball) > max_elements:
-                        raise BoundExceeded(
-                            f"ball exceeded {max_elements} elements"
-                        )
-        frontier = new_elems
-        sizes.append(len(ball))
+    sizes = [1]
+    for sphere in table.spheres(letters, radius, max_elements):
+        sizes.append(sizes[-1] + len(sphere))
     table.log("ball_sizes")
     return tuple(sizes)

@@ -3,14 +3,16 @@
 Groups are loaded from ``.agt`` files (or by bundled corpus name),
 certificates from ``.cert`` files.  Text output by default, ``--json``
 for structured output, ``--dot`` where a graph makes sense.  Exit codes:
-0 on success / all assertions passing, 1 when a certificate suite fails,
-2 for usage, parse and engine errors, out-of-range numbers included.
+0 on success / all assertions passing, 1 when a certificate suite fails
+or the reader of stdout closes it early, 2 for usage, parse and engine
+errors, out-of-range numbers included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
@@ -417,7 +419,7 @@ def cmd_commutator_witness(args, group: GroupDef) -> Result:
     "sizes of word-metric balls",
     ("--radius", INT),
     GENS,
-    ("--cap", {"type": int, "default": 500_000}),
+    ("--cap", {"type": int, "default": decide.BALL_CAP}),
 )
 def cmd_ball(args, group: GroupDef) -> Result:
     sizes = certify.ball_sizes(_gens(args, group), args.radius, args.cap)
@@ -473,7 +475,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except EngineError as exc:
         print(f"agt: error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, lines)
+    try:
+        _emit(args, payload, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); send what is still buffered to devnull, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -279,9 +279,6 @@ class GroupDef:
 
     def vertices(self, level: int) -> Iterator[Vertex]:
         """All level-`level` vertices in lexicographic order."""
-        if level == 0:
-            yield ()
-            return
         letters = range(1, self.degree + 1)
         stack = [()]
         for _ in range(level):

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 PORTRAIT_LEAF_CAP = 4096  # binary depth 12, ternary depth 7; desk scale
+BALL_CAP = 500_000  # elements in one Cayley ball
+ORDER_BOUND_CAP = 16_384  # powers tried by `order`
+ACTIVITY_LEVELS_CAP = 4096  # levels counted by `activity_sequence`
 
 
 def is_trivial(g: Element) -> bool:
@@ -182,14 +185,9 @@ def section_closure(g: Element) -> SectionClosure:
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
-    members: Dict[int, List[int]] = {}
-    for i, c in enumerate(cls):
-        members.setdefault(c, []).append(i)
     reps: Dict[int, Element] = {cls[0]: g}
-    for c, idxs in members.items():
-        if c not in reps:
-            best = min(idxs, key=lambda i: (len(nodes[i].letters), nodes[i].letters))
-            reps[c] = nodes[best]
+    for i in sorted(range(len(nodes)), key=lambda i: (len(nodes[i].letters), nodes[i].letters)):
+        reps.setdefault(cls[i], nodes[i])
 
     out_elems = tuple(reps[c] for c in order)
     out_edges = tuple(children for _, children in rows)
@@ -238,6 +236,25 @@ class _InternTable:
             refs.append(tuple(row))
         self._products.update(zip(pairs, self._absorb(new_images, refs)))
         return self._products[(p, q)]
+
+    def spheres(self, letters: List[int], radius: int, cap: int = BALL_CAP):
+        """Yield spheres 1..radius of the Cayley graph on the ids `letters`:
+        lists of ``(id, position of its parent in the previous sphere, letter
+        index)`` in first-occurrence order.  Raises BoundExceeded once the
+        ball holds more than `cap` elements."""
+        ball, frontier = {0}, [0]
+        for _ in range(radius):
+            sphere = []
+            for pos, g in enumerate(frontier):
+                for i, s in enumerate(letters):
+                    h = self.mul(g, s)
+                    if h not in ball:
+                        ball.add(h)
+                        sphere.append((h, pos, i))
+                        if len(ball) > cap:
+                            raise BoundExceeded(f"ball exceeded {cap} elements")
+            frontier = [h for h, _, _ in sphere]
+            yield sphere
 
     def log(self, job: str) -> None:
         import logging  # here, so that importing the package does not load it
@@ -331,6 +348,8 @@ def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     if bound < 1:
         raise BadArgument(f"bound must be positive, got {bound}")
+    if bound > ORDER_BOUND_CAP:
+        raise BoundExceeded(f"bound {bound} exceeds cap {ORDER_BOUND_CAP}")
     table = _InternTable(g.group)
     x = table.intern(g)
     power, n = x, 1
@@ -390,6 +409,8 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     """
     if levels < 0:
         raise BadArgument(f"levels must be nonnegative, got {levels}")
+    if levels > ACTIVITY_LEVELS_CAP:
+        raise BoundExceeded(f"levels {levels} exceeds cap {ACTIVITY_LEVELS_CAP}")
     memo: Dict[tuple, bool] = {}
 
     def trivial(e: Element) -> bool:

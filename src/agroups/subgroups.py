@@ -143,7 +143,7 @@ class OrbitTable:
         return self.levels[n]
 
 
-def orbits(gens: GenSet, depth: int, cap: int = ORBIT_DEPTH_CAP) -> OrbitTable:
+def orbits(gens: GenSet, depth: int) -> OrbitTable:
     """Exact orbit partition of every level up to `depth` under the gens.
 
     Each generator permutes the finite level set, so forward closure under
@@ -151,8 +151,8 @@ def orbits(gens: GenSet, depth: int, cap: int = ORBIT_DEPTH_CAP) -> OrbitTable:
     """
     if depth < 1:
         raise BadArgument(f"depth must be at least 1, got {depth}")
-    if depth > cap:
-        raise BoundExceeded(f"depth {depth} exceeds cap {cap}")
+    if depth > ORBIT_DEPTH_CAP:
+        raise BoundExceeded(f"depth {depth} exceeds cap {ORBIT_DEPTH_CAP}")
     group = gens.group
     levels = [OrbitLevel(0, (((),),), ())]
     prev_assigned: Dict[Vertex, int] = {(): 0}
@@ -236,20 +236,17 @@ def _schreier(gens: GenSet, base: object, apply) -> Tuple[Tuple[object, Element]
     return tuple((x, transversal[x]) for x in order), raw
 
 
+def _first_per_key(elements: Iterable[Element]) -> List[Element]:
+    """The first of `elements` denoting each automorphism, in order."""
+    first: Dict[tuple, Element] = {}
+    for g in elements:
+        first.setdefault(decide.canonical_key(g), g)
+    return list(first.values())
+
+
 def _dedupe_gens(group: GroupDef, raw: List[Element]) -> Tuple[Element, ...]:
-    out: List[Element] = []
-    keys = set()
-    for g in raw:
-        if decide.is_trivial(g):
-            continue
-        k = decide.canonical_key(g)
-        if k in keys:
-            continue
-        keys.add(k)
-        out.append(g)
-    if not out:
-        out = [group.identity()]
-    return tuple(out)
+    out = _first_per_key(g for g in raw if not decide.is_trivial(g))
+    return tuple(out or [group.identity()])
 
 
 def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
@@ -278,11 +275,7 @@ def vertex_stabilizer_gens(gens: GenSet, vertex: Union[str, Vertex]) -> Stabiliz
     """Generators of the subgroup fixing one vertex, via Schreier's lemma."""
     group = gens.group
     vertex = group.vertex(vertex)
-
-    def apply(s: Element, v):
-        return s.act(v)
-
-    transversal, raw = _schreier(gens, vertex, apply)
+    transversal, raw = _schreier(gens, vertex, Element.act)
     return StabilizerGens(
         gens, None, vertex, _dedupe_gens(group, raw), transversal
     )
@@ -295,18 +288,9 @@ def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
     subtree below it.  Trivial sections are kept (deduplicated), so the
     result is never empty.
     """
-    group = gens.group
-    vertex = group.vertex(vertex)
+    vertex = gens.group.vertex(vertex)
     stab = vertex_stabilizer_gens(gens, vertex)
-    out: List[Element] = []
-    keys = set()
-    for g in stab.generators:
-        s = g.section(vertex)
-        k = decide.canonical_key(s)
-        if k not in keys:
-            keys.add(k)
-            out.append(s)
-    return GenSet.from_elements(out)
+    return GenSet.from_elements(_first_per_key(g.section(vertex) for g in stab.generators))
 
 
 # -- rigid stabilizer witnesses --------------------------------------------------
@@ -333,40 +317,26 @@ def is_supported_only_at(g: Element, vertex: Union[str, Vertex]) -> bool:
 def rist_elements(
     gens: GenSet, vertex: Union[str, Vertex], maxlen: int
 ) -> List[Element]:
-    """Witness search: nontrivial words of length <= maxlen supported only
-    at `vertex`.
+    """Witness search: nontrivial elements of length <= maxlen supported
+    only at `vertex`.
 
-    Enumerates freely reduced words over the generators and their inverses
-    in length-then-generator order; results are deduplicated semantically.
-    This is a bounded search, not a membership decision.
+    Walks the Cayley ball over the generators and their inverses sphere by
+    sphere, so each element is reported once, by its first word in
+    length-then-generator order.  This is a bounded search, not a
+    membership decision.
     """
     if maxlen < 1:
         raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
     group = gens.group
     vertex = group.vertex(vertex)
-    letters = []
-    for e in gens.elements:
-        letters.append(e)
-        letters.append(e.inverse())
-    # letter 2j is gens[j], letter 2j+1 its inverse: index i inverts to i ^ 1
-
-    found: List[Element] = []
-    keys = set()
-    frontier: List[Tuple[int, Element]] = [(-2, group.identity())]
-    for _ in range(maxlen):
-        nxt = []
-        for last, w in frontier:
-            for i, s in enumerate(letters):
-                if i == last ^ 1:
-                    continue  # immediate cancellation: word already enumerated
-                u = w * s
-                nxt.append((i, u))
-                if is_supported_only_at(u, vertex) and not decide.is_trivial(u):
-                    k = decide.canonical_key(u)
-                    if k not in keys:
-                        keys.add(k)
-                        found.append(u)
-        frontier = nxt
+    letters = [x for e in gens.elements for x in (e, e.inverse())]
+    table = decide._InternTable(group)
+    words, found = [group.identity()], []
+    for sphere in table.spheres([table.intern(x) for x in letters], maxlen):
+        # the word of an element extends its parent's word by one letter
+        words = [words[parent] * letters[i] for _, parent, i in sphere]
+        found.extend(w for w in words if is_supported_only_at(w, vertex))
+    table.log("rist_elements")
     return found
 
 

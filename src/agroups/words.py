@@ -68,6 +68,8 @@ def tokenize(text: str, line: Optional[int] = None) -> List[Token]:
 
 # Brackets nest at most this deep; each level costs the recursive descent three frames.
 MAX_NESTING = 100
+# Letters in a parsed word, checked before each expansion, so a short text cannot exhaust memory.
+MAX_WORD_LETTERS = 1 << 20
 
 
 def _invert(letters: List[Letter]) -> List[Letter]:
@@ -99,13 +101,19 @@ class _WordParser:
             raise ParseError(f"expected {kind!r}, found {tok.value!r}", self.line, tok.col)
         return tok
 
+    def fits(self, n: int, col: int) -> None:
+        if n > MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", self.line, col)
+
     def word(self, stop: Tuple[str, ...] = ()) -> List[Letter]:
         letters: List[Letter] = []
         while True:
             tok = self.peek()
             if tok is None or tok.kind in stop:
                 return letters
-            letters.extend(self.term(stop))
+            term = self.term(stop)
+            self.fits(len(letters) + len(term), tok.col)
+            letters.extend(term)
 
     def term(self, stop: Tuple[str, ...]) -> List[Letter]:
         letters = self.atom()
@@ -120,10 +128,11 @@ class _WordParser:
             if nxt.kind == "int":
                 self.take()
                 k = nxt.value
-                base = letters if k >= 0 else _invert(letters)
-                letters = [l for _ in range(abs(k)) for l in base]
+                self.fits(abs(k) * len(letters), nxt.col)
+                letters = (letters if k >= 0 else _invert(letters)) * abs(k)
             else:
                 conj = self.atom()
+                self.fits(2 * len(conj) + len(letters), nxt.col)
                 letters = _invert(conj) + letters + conj
 
     def atom(self) -> List[Letter]:
@@ -149,6 +158,7 @@ class _WordParser:
             right = self.word(stop=("]",))
             self.expect("]")
             self.depth -= 1
+            self.fits(2 * (len(left) + len(right)), tok.col)
             return _invert(left) + _invert(right) + left + right
         raise ParseError(f"unexpected token {tok.value!r}", self.line, tok.col)
 

@@ -4,11 +4,16 @@ Everything here goes through the level action only (coords + recursion or
 plain vertex images); none of it touches the section-closure machinery in
 `agroups.decide`, so it can stand witness against it.  The coordinates
 come from `coords_reference`, a per-letter fold of the product rule kept
-apart from the table-driven `Element.coords` it checks.
+apart from the table-driven `Element.coords` it checks.  `rist_reference`
+is the exception: the word-enumerating witness search that
+`subgroups.rist_elements` replaced, kept with its canonical-key dedupe.
 """
 
+from typing import List, Tuple
+
 from agroups import decide
-from agroups.core import Element, Perm, WreathCoords, _push
+from agroups.core import BadArgument, Element, Perm, WreathCoords, _push
+from agroups.subgroups import is_supported_only_at
 
 
 def coords_reference(g: Element) -> WreathCoords:
@@ -122,3 +127,41 @@ def pairwise_ball_sizes(gens, radius):
         frontier = new
         sizes.append(len(reps))
     return tuple(sizes)
+
+
+def rist_reference(gens, vertex, maxlen: int) -> List[Element]:
+    """Witness search: nontrivial words of length <= maxlen supported only
+    at `vertex`.
+
+    Enumerates freely reduced words over the generators and their inverses
+    in length-then-generator order; results are deduplicated semantically.
+    This is a bounded search, not a membership decision.
+    """
+    if maxlen < 1:
+        raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
+    group = gens.group
+    vertex = group.vertex(vertex)
+    letters = []
+    for e in gens.elements:
+        letters.append(e)
+        letters.append(e.inverse())
+    # letter 2j is gens[j], letter 2j+1 its inverse: index i inverts to i ^ 1
+
+    found: List[Element] = []
+    keys = set()
+    frontier: List[Tuple[int, Element]] = [(-2, group.identity())]
+    for _ in range(maxlen):
+        nxt = []
+        for last, w in frontier:
+            for i, s in enumerate(letters):
+                if i == last ^ 1:
+                    continue  # immediate cancellation: word already enumerated
+                u = w * s
+                nxt.append((i, u))
+                if is_supported_only_at(u, vertex) and not decide.is_trivial(u):
+                    k = decide.canonical_key(u)
+                    if k not in keys:
+                        keys.add(k)
+                        found.append(u)
+        frontier = nxt
+    return found

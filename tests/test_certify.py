@@ -15,7 +15,7 @@ from agroups.certify import (
     run_suite,
 )
 from agroups.core import BoundExceeded
-from agroups.subgroups import GenSet
+from agroups.subgroups import GenSet, rist_elements
 
 from oracles import pairwise_ball_sizes
 
@@ -156,6 +156,7 @@ def test_product_loops_log_their_table(grig, caplog):
         ball_sizes(gens, 3)
         free_semigroup_check(gens, 2)
         decide.order(grig.generator("a"), 4)
+        rist_elements(gens, "2", 2)
     jobs = [r.getMessage().split(":")[0] for r in caplog.records]
-    assert jobs == ["ball_sizes", "free_semigroup_check", "order"]
+    assert jobs == ["ball_sizes", "free_semigroup_check", "order", "rist_elements"]
     assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)

@@ -103,6 +103,20 @@ def test_portrait_leaf_cap(grig):
         decide.portrait(one.generator("x"), 2000)
 
 
+def test_order_and_activity_caps(bas):
+    a = bas.generator("a")  # infinite order, one active vertex per level
+    bound, levels = decide.ORDER_BOUND_CAP, decide.ACTIVITY_LEVELS_CAP
+    assert (bound, levels) == (16_384, 4096)
+    assert decide.order(a, bound) == decide.OrderResult(None, bound)
+    assert decide.activity_sequence(a, levels) == (1,) * (levels + 1)
+    for bound in (bound + 1, 10**9):
+        with pytest.raises(BoundExceeded):
+            decide.order(a, bound)
+    for levels in (levels + 1, 10**9):
+        with pytest.raises(BoundExceeded):
+            decide.activity_sequence(a, levels)
+
+
 def test_portrait_consistency(grig, bas):
     rng = Random(3)
     for group in (grig, bas):

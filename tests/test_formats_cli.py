@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +259,8 @@ G, B = ["--group", "grigorchuk"], ["--group", "basilica"]
         ["portrait", *G, "--word", "b", "--depth", "1200"],
         ["portrait", *G, "--word", "b", "--depth", "20"],
         ["eval", *G, "--word", "(" * 2000 + "a" + ")" * 2000],
+        ["order", *B, "--word", "a", "--bound", "100000000"],
+        ["activity", *B, "--word", "a", "--levels", "10000000"],
     ],
     ids=lambda argv: " ".join([argv[0]] + argv[3:])[:40],
 )
@@ -263,3 +269,16 @@ def test_out_of_range_numbers_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("agt: error: ")
+
+
+def test_closed_pipe_exits_without_traceback():
+    # the reader takes one line of a 288 KB answer, then closes the pipe
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-m", "agroups.cli", "orbits", *G, "--depth", "12", "--json"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

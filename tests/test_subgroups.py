@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from agroups import decide, subgroups
@@ -20,7 +22,8 @@ from agroups.subgroups import (
 from agroups.core import BoundExceeded, EngineError
 from agroups.words import parse_word
 
-from oracles import orbit_images_bruteforce
+from oracles import orbit_images_bruteforce, rist_reference
+import property_checks as pc
 
 
 def _contains(elements, target):
@@ -143,6 +146,30 @@ def test_rist_search_grigorchuk(grig):
     assert _contains(found, parse_word("a d a", grig))
     for g in found:
         assert is_supported_only_at(g, "1") and not decide.is_trivial(g)
+
+
+def test_rist_elements_match_word_enumeration(grig, bas, rot3):
+    # the sphere walk keeps, per element, the first word the reduced-word search finds
+    rng = Random(29)
+    odd = {
+        grig: ["b; c d", "a; 1; b", "a; a; c", "b; b^-1; a"],  # trivial, repeated, inverse pair
+        bas: ["a; a^-1", "a b; 1"],
+        rot3: ["w; w; t"],
+    }
+    cases = [(group, text.split("; ")) for group, texts in odd.items() for text in texts]
+    for _ in range(120):
+        group = rng.choice([grig, bas, rot3])
+        words = [str(pc.random_word(group, rng, 3, 1)) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:  # with the state generators, so the ball holds witnesses
+            words = list(group.state_names) + words
+            rng.shuffle(words)
+        cases.append((group, words))
+    for group, words in cases:
+        gens = GenSet.from_elements([parse_word(w, group) for w in words])
+        vertex = pc.random_vertex(group, rng, 3)
+        maxlen = rng.randint(1, 4 if len(gens) < 4 else 3)
+        want = [str(w) for w in rist_reference(gens, vertex, maxlen)]
+        assert [str(w) for w in rist_elements(gens, vertex, maxlen)] == want, (words, vertex, maxlen)
 
 
 def test_disjoint_rist_witnesses_commute(grig):

@@ -1,7 +1,7 @@
 import pytest
 
 from agroups.core import UnknownGenerator
-from agroups.words import MAX_NESTING, ParseError, parse_word, word_letters
+from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, parse_word, word_letters
 
 
 def test_basic_words(grig):
@@ -63,6 +63,32 @@ def test_nesting_bound():
         word_letters("(" * 2000 + "a" + ")" * 2000)
     # the bound counts depth, not brackets: siblings never add up
     assert len(word_letters("(a) " * (3 * MAX_NESTING))) == 3 * MAX_NESTING
+
+
+def test_word_letter_bound():
+    # expansions are sized before they are built, so a short text cannot exhaust memory
+    def nested(k):  # k nested commutators hold 3 * 2^k - 2 letters
+        return "[a, " * k + "a" + "]" * k
+
+    assert MAX_WORD_LETTERS == 1 << 20
+    assert len(word_letters(nested(18))) == 786_430
+    half = MAX_WORD_LETTERS // 2
+    assert len(word_letters(f"(a b)^{half}")) == MAX_WORD_LETTERS
+    assert len(word_letters(f"(a b)^-{half}")) == MAX_WORD_LETTERS
+    assert word_letters("1^1000000000000") == []
+    too_long = [
+        nested(19),  # commutator
+        f"(a b)^{half + 1}",  # power
+        f"(a b)^-{half + 1}",
+        "a^1000000000000",
+        f"(a^{half}) ^ (b^{half})",  # conjugate
+        f"a^{half} b^{half} a",  # concatenation
+        f"[a^{half}, b]",  # commutator of short pieces
+        f"(a^{MAX_WORD_LETTERS} b)^2",
+    ]
+    for text in too_long:
+        with pytest.raises(ParseError, match="longer than"):
+            word_letters(text)
 
 
 def test_errors(grig):
