@@ -101,6 +101,14 @@ Letter = Tuple[str, int]  # (state name, exponent +1 or -1)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@.]*\Z")
 
+VERTEX_CAP = 100_000  # vertices in one level, or vertex entries in one Schreier transversal
+MAX_DIGITS = 640  # digits in a number read from text; Python's int() reads at least 640
+
+
+def _is_number(text: str) -> bool:
+    """True iff `text` is ASCII digits, at most MAX_DIGITS of them."""
+    return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
 
 def format_cycles(cycles: Iterable[Iterable[int]]) -> str:
     """Cycle notation such as ``(1 2)(3 4)``, or ``id`` for no cycles."""
@@ -268,7 +276,7 @@ class GroupDef:
             if text in ("", "."):
                 return ()
             parts = text.split(".")
-            if not all(p.isascii() and p.isdigit() for p in parts):
+            if not all(_is_number(p) for p in parts):
                 raise BadVertex(f"malformed vertex {v!r}")
             v = tuple(int(p) for p in parts)
         v = tuple(v)
@@ -279,6 +287,9 @@ class GroupDef:
 
     def vertices(self, level: int) -> Iterator[Vertex]:
         """All level-`level` vertices in lexicographic order."""
+        # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
+        if max(self.degree, 2) ** min(level, VERTEX_CAP) > VERTEX_CAP:
+            raise BoundExceeded(f"level {level} has over {VERTEX_CAP} vertices")
         letters = range(1, self.degree + 1)
         stack = [()]
         for _ in range(level):

@@ -13,10 +13,10 @@ serialized by a breadth-first numbering from the element's own class.
 Two words get the same key exactly when they denote the same
 automorphism.
 
-The product loops (`order` here, `ball_sizes` and `free_semigroup_check`
-in :mod:`agroups.certify`) multiply ids of minimized automaton states, in
-a table built inside each call (GAP's FR and AutomGrp represent Mealy
-elements the same way).  Words enter through their canonical keys.
+The product loops (`order` here, `ball_sizes` and `free_semigroup_check` in
+:mod:`agroups.certify`), `rist_elements` and the Schreier generators of
+:mod:`agroups.subgroups` multiply ids of minimized automaton states, in a
+table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from .certify import (
     Transitive,
     Trivial,
 )
-from .core import _NAME_RE, GroupDef, make_group
+from .core import _NAME_RE, GroupDef, _is_number, make_group
 from .words import ParseError, word_letters
 
 __all__ = [
@@ -63,7 +63,7 @@ def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ..
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         tokens = m.group(1).replace(",", " ").split()
-        if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
+        if not tokens or not all(_is_number(t) for t in tokens):
             raise ParseError(f"malformed cycle ({m.group(1)})", line_no)
         cycles.append(tuple(int(t) for t in tokens))
     return tuple(cycles)
@@ -125,7 +125,7 @@ def parse_group_file(text: str) -> GroupDef:
             name = value
         elif keyword == "alphabet":
             value = line[len("alphabet") :].strip()
-            if not (value.isascii() and value.isdigit()) or int(value) < 1:
+            if not _is_number(value) or int(value) < 1:
                 raise ParseError(f"invalid alphabet size {value!r}", line_no)
             if degree is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
@@ -235,7 +235,7 @@ def parse_certificate(text: str) -> Certificate:
             )
         elif keyword == "in_level_stab":
             level, word = _split_once(rest, ":", line_no)
-            if not (level.isascii() and level.isdigit()):
+            if not _is_number(level):
                 raise ParseError(f"invalid level {level!r}", line_no)
             assertions.append(InLevelStab(int(level), _check_word(word, line_no)))
         elif keyword == "supported_only_at":
@@ -246,7 +246,7 @@ def parse_certificate(text: str) -> Certificate:
                 )
             )
         elif keyword == "transitive":
-            if not (rest.isascii() and rest.isdigit()) or int(rest) < 1:
+            if not _is_number(rest) or int(rest) < 1:
                 raise ParseError(f"invalid depth {rest!r}", line_no)
             assertions.append(Transitive(int(rest)))
         elif keyword == "projection_witness":
@@ -261,7 +261,7 @@ def parse_certificate(text: str) -> Certificate:
             )
         elif keyword == "distinct_positive_words":
             m = _DISTINCT_RE.match(rest)
-            if m is None:
+            if m is None or not all(map(_is_number, m.group(2, 3))):
                 raise ParseError(
                     "expected '(gens) maxlen N expect M' after keyword", line_no
                 )

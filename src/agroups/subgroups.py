@@ -23,6 +23,7 @@ from .core import (
     EngineError,
     GroupDef,
     MixedGroups,
+    VERTEX_CAP,
     Vertex,
     format_vertex,
     make_group,
@@ -197,7 +198,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
 
 @dataclass(frozen=True)
 class StabilizerGens:
-    """Schreier generators of a level or vertex stabilizer.
+    """Schreier generators of a level or vertex stabilizer, one per automorphism.
 
     `transversal` records, per reached point, a word moving the base point
     there; points are level-action configurations for level stabilizers
@@ -211,42 +212,39 @@ class StabilizerGens:
     transversal: Tuple[Tuple[object, Element], ...]
 
 
-def _schreier(gens: GenSet, base: object, apply) -> Tuple[Tuple[object, Element], List[Element]]:
-    """Breadth-first transversal (frontiers in sorted order) + Schreier gens."""
-    group = gens.group
-    transversal: Dict[object, Element] = {base: group.identity()}
-    order = [base]
-    frontier = [base]
+def _schreier(gens: GenSet, base: object, apply):
+    """Breadth-first transversal (frontiers in sorted order), and in the same pass
+    the raw Schreier generator t_y^-1 s t_x, y = s(x), of each point x and generator
+    s as ``(id, t_y, s, t_x)``.  Returns the (x, t_x) pairs, the raw list and the table."""
+    table = decide._InternTable(gens.group)
+    steps = [(s, table.intern(s), table.intern(s.inverse())) for s in gens.elements]
+    transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
+    order, frontier, raw = [], [base], []
     while frontier:
         discovered = []
         for x in sorted(frontier):
-            for s in gens.elements:
-                y = apply(s, x)
+            order.append(x)
+            t_x, tid, tinv = transversal[x]
+            for s, sid, sinv in steps:
+                y, st = apply(s, x), table.mul(sid, tid)
                 if y not in transversal:
-                    transversal[y] = s * transversal[x]
+                    transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
                     discovered.append(y)
-        order.extend(sorted(discovered))
+                    if len(transversal) * len(base) > VERTEX_CAP:
+                        raise BoundExceeded(f"transversal exceeded {VERTEX_CAP} vertex entries")
+                raw.append((table.mul(transversal[y][2], st), transversal[y][0], s, t_x))
         frontier = discovered
-    raw = []
-    for x in order:
-        t_x = transversal[x]
-        for s in gens.elements:
-            y = apply(s, x)
-            raw.append(transversal[y].inverse() * s * t_x)
-    return tuple((x, transversal[x]) for x in order), raw
+    return tuple((x, transversal[x][0]) for x in order), raw, table
 
 
-def _first_per_key(elements: Iterable[Element]) -> List[Element]:
-    """The first of `elements` denoting each automorphism, in order."""
-    first: Dict[tuple, Element] = {}
-    for g in elements:
-        first.setdefault(decide.canonical_key(g), g)
-    return list(first.values())
-
-
-def _dedupe_gens(group: GroupDef, raw: List[Element]) -> Tuple[Element, ...]:
-    out = _first_per_key(g for g in raw if not decide.is_trivial(g))
-    return tuple(out or [group.identity()])
+def _dedupe_gens(group: GroupDef, raw) -> Dict[int, Element]:
+    """By id, the word of the first raw generator per nonzero id (equal ids
+    are equal automorphisms), or the identity alone if there is none."""
+    kept: Dict[int, Element] = {}
+    for gid, t_y, s, t_x in raw:
+        if gid and gid not in kept:
+            kept[gid] = t_y.inverse() * s * t_x
+    return kept or {0: group.identity()}
 
 
 def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
@@ -258,39 +256,40 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     """
     if level < 0:
         raise BadArgument(f"level must be nonnegative, got {level}")
-    group = gens.group
-    verts = tuple(group.vertices(level))
-    base = verts  # identity configuration
-
-    def apply(s: Element, config):
-        return tuple(s.act(v) for v in config)
-
-    transversal, raw = _schreier(gens, base, apply)
-    return StabilizerGens(
-        gens, level, None, _dedupe_gens(group, raw), transversal
-    )
+    verts = tuple(gens.group.vertices(level))
+    rank = {v: i for i, v in enumerate(verts)}
+    # a configuration holds ranks, which sort like the vertices; each generator permutes them
+    image = {s: tuple(rank[s.act(v)] for v in verts).__getitem__ for s in gens.elements}
+    base = tuple(rank.values())  # the identity configuration
+    transversal, raw, _ = _schreier(gens, base, lambda s, c: tuple(map(image[s], c)))
+    transversal = tuple((tuple(map(verts.__getitem__, c)), t) for c, t in transversal)
+    generators = tuple(_dedupe_gens(gens.group, raw).values())
+    return StabilizerGens(gens, level, None, generators, transversal)
 
 
 def vertex_stabilizer_gens(gens: GenSet, vertex: Union[str, Vertex]) -> StabilizerGens:
     """Generators of the subgroup fixing one vertex, via Schreier's lemma."""
-    group = gens.group
-    vertex = group.vertex(vertex)
-    transversal, raw = _schreier(gens, vertex, Element.act)
-    return StabilizerGens(
-        gens, None, vertex, _dedupe_gens(group, raw), transversal
-    )
+    vertex = gens.group.vertex(vertex)
+    transversal, raw, _ = _schreier(gens, vertex, Element.act)
+    generators = tuple(_dedupe_gens(gens.group, raw).values())
+    return StabilizerGens(gens, None, vertex, generators, transversal)
 
 
 def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
     """Sections at `vertex` of the vertex stabilizer's Schreier generators.
 
     These generate the projection of the stabilizer of `vertex` to the
-    subtree below it.  Trivial sections are kept (deduplicated), so the
-    result is never empty.
+    subtree below it.  They are deduplicated by id, read off the table's kids
+    along `vertex`; trivial ones are kept, so the result is never empty.
     """
     vertex = gens.group.vertex(vertex)
-    stab = vertex_stabilizer_gens(gens, vertex)
-    return GenSet.from_elements(_first_per_key(g.section(vertex) for g in stab.generators))
+    _, raw, table = _schreier(gens, vertex, Element.act)
+    first: Dict[int, Element] = {}
+    for x, g in _dedupe_gens(gens.group, raw).items():
+        for k in vertex:
+            x = table.kids[x][k - 1]
+        first.setdefault(x, g)
+    return GenSet.from_elements([g.section(vertex) for g in first.values()])
 
 
 # -- rigid stabilizer witnesses --------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Element, EngineError, GroupDef, Letter, UnknownGenerator
+from .core import MAX_DIGITS, Element, EngineError, GroupDef, Letter, UnknownGenerator
 
 __all__ = ["ParseError", "parse_word", "word_letters"]
 
@@ -57,6 +57,8 @@ def tokenize(text: str, line: Optional[int] = None) -> List[Token]:
         if m.lastgroup == "name":
             tokens.append(Token("name", m.group(), pos + 1))
         elif m.lastgroup == "int":
+            if len(m.group().lstrip("-")) > MAX_DIGITS:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, pos + 1)
             tokens.append(Token("int", int(m.group()), pos + 1))
         elif m.lastgroup == "arrow":
             tokens.append(Token("->", "->", pos + 1))
@@ -129,7 +131,8 @@ class _WordParser:
                 self.take()
                 k = nxt.value
                 self.fits(abs(k) * len(letters), nxt.col)
-                letters = (letters if k >= 0 else _invert(letters)) * abs(k)
+                if letters:  # [] * k overflows past sys.maxsize, though it stays empty
+                    letters = (letters if k >= 0 else _invert(letters)) * abs(k)
             else:
                 conj = self.atom()
                 self.fits(2 * len(conj) + len(letters), nxt.col)

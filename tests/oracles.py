@@ -7,13 +7,16 @@ come from `coords_reference`, a per-letter fold of the product rule kept
 apart from the table-driven `Element.coords` it checks.  `rist_reference`
 is the exception: the word-enumerating witness search that
 `subgroups.rist_elements` replaced, kept with its canonical-key dedupe.
+So are `schreier_reference`, `dedupe_reference` and `first_per_key`: the
+word-based Schreier transversal and generator dedupe that the id-based
+`subgroups._schreier` replaced.
 """
 
-from typing import List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from agroups import decide
-from agroups.core import BadArgument, Element, Perm, WreathCoords, _push
-from agroups.subgroups import is_supported_only_at
+from agroups.core import BadArgument, Element, GroupDef, Perm, WreathCoords, _push
+from agroups.subgroups import GenSet, is_supported_only_at
 
 
 def coords_reference(g: Element) -> WreathCoords:
@@ -165,3 +168,41 @@ def rist_reference(gens, vertex, maxlen: int) -> List[Element]:
                         found.append(u)
         frontier = nxt
     return found
+
+
+def schreier_reference(gens: GenSet, base: object, apply) -> Tuple[Tuple[object, Element], List[Element]]:
+    """Breadth-first transversal (frontiers in sorted order) + Schreier gens."""
+    group = gens.group
+    transversal: Dict[object, Element] = {base: group.identity()}
+    order = [base]
+    frontier = [base]
+    while frontier:
+        discovered = []
+        for x in sorted(frontier):
+            for s in gens.elements:
+                y = apply(s, x)
+                if y not in transversal:
+                    transversal[y] = s * transversal[x]
+                    discovered.append(y)
+        order.extend(sorted(discovered))
+        frontier = discovered
+    raw = []
+    for x in order:
+        t_x = transversal[x]
+        for s in gens.elements:
+            y = apply(s, x)
+            raw.append(transversal[y].inverse() * s * t_x)
+    return tuple((x, transversal[x]) for x in order), raw
+
+
+def first_per_key(elements: Iterable[Element]) -> List[Element]:
+    """The first of `elements` denoting each automorphism, in order."""
+    first: Dict[tuple, Element] = {}
+    for g in elements:
+        first.setdefault(decide.canonical_key(g), g)
+    return list(first.values())
+
+
+def dedupe_reference(group: GroupDef, raw: List[Element]) -> Tuple[Element, ...]:
+    out = first_per_key(g for g in raw if not decide.is_trivial(g))
+    return tuple(out or [group.identity()])

@@ -2,8 +2,10 @@ import pytest
 
 from agroups import decide
 from agroups.core import (
+    VERTEX_CAP,
     BadPerm,
     BadVertex,
+    BoundExceeded,
     DuplicateState,
     EmptyGroup,
     MixedGroups,
@@ -142,6 +144,17 @@ def test_vertex_parsing(grig):
     assert grig.vertex("2.1.1") == (2, 1, 1)
     assert grig.vertex((1, 2)) == (1, 2)
     assert list(grig.vertices(2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_vertices_cap(grig):
+    # levels are refused before they are built; degree 1 counts as 2, as in portraits
+    assert VERTEX_CAP == 100_000
+    assert sum(1 for _ in grig.vertices(16)) == 65_536
+    line = make_group(1, {"x": (("x",), None)})
+    assert list(line.vertices(16)) == [(1,) * 16]
+    for group, level in ((grig, 17), (grig, 10**9), (line, 17), (line, 10**9)):
+        with pytest.raises(BoundExceeded):
+            next(group.vertices(level))
 
 
 def test_degree_three_convention(rot3):

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from agroups import corpus
 from agroups.cli import main
-from agroups.core import EmptyGroup, EngineError
+from agroups.core import VERTEX_CAP, EmptyGroup, EngineError
 from agroups.formats import (
     format_group_file,
     parse_certificate,
@@ -271,12 +272,84 @@ def test_out_of_range_numbers_exit_2(capsys, argv):
     assert err.startswith("agt: error: ")
 
 
+BIG = "9" * 5000  # over the 4,300 digits Python's int() reads by default
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["eval", *G, "--word", "a^" + BIG], None),
+        (["act", *G, "--word", "a", "--vertex", "1" * 5000], None),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet {BIG}\ngen a = (1, 1)\n"),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet 2\ngen a = (1, 1) (1 {BIG})\n"),
+        (["certify", *G, "--suite"], f"suite s\nin_level_stab {BIG} : a\n"),
+        (["certify", *G, "--suite"], f"suite s\ntransitive {BIG}\n"),
+        (["certify", *G, "--suite"], f"suite s\ndistinct_positive_words (a) maxlen {BIG} expect 1\n"),
+    ],
+    ids=["power", "vertex", "alphabet", "cycle", "in_level_stab", "transitive", "distinct"],
+)
+def test_oversized_numbers_exit_2(tmp_path, capsys, argv, text):
+    # each raised int()'s ValueError, with a traceback and exit 1
+    if text is not None:
+        path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: ")
+
+
+def _env():
+    """The environment of a child Python that imports this checkout's package."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def _limited(argv, tmp_path):
+    """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
+    limit = 512 << 20
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=_env(), cwd=tmp_path,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stab", *G, "--level", "24"],
+        ["project", *G, "--vertex", ".".join("1" * 22)],
+        ["rist", *G, "--vertex", ".".join("2" * 24), "--maxlen", "2"],
+        ["certify", *G, "--suite", "level40.cert"],
+    ],
+    ids=["stab level 24", "project depth 22", "rist depth 24", "in_level_stab 40"],
+)
+def test_level_sizes_are_bounded(tmp_path, argv):
+    # each built all d^n vertices or an unbounded transversal: MemoryError under 1 GB
+    (tmp_path / "level40.cert").write_text("suite s\nin_level_stab 40 : a\n")
+    code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
+    assert code == 2 and err.startswith("agt: error: ") and str(VERTEX_CAP) in err, err
+
+
+def test_level_stabilizer_transversal_is_bounded(tmp_path):
+    # grigorchuk acts on level 5 through 2^22 configurations of 32 vertices
+    script = (
+        "from agroups import corpus, subgroups\n"
+        "from agroups.core import BoundExceeded\n"
+        "gens = subgroups.GenSet.from_group(corpus.load_group('grigorchuk'))\n"
+        "try:\n"
+        "    subgroups.stabilizer_gens(gens, 5)\n"
+        "except BoundExceeded:\n"
+        "    raise SystemExit(2)\n"
+    )
+    assert _limited(["-c", script], tmp_path) == (2, "")
+
+
 def test_closed_pipe_exits_without_traceback():
     # the reader takes one line of a 288 KB answer, then closes the pipe
-    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     argv = [sys.executable, "-m", "agroups.cli", "orbits", *G, "--depth", "12", "--json"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()

@@ -19,10 +19,16 @@ from agroups.subgroups import (
     stabilizer_gens,
     vertex_stabilizer_gens,
 )
-from agroups.core import BoundExceeded, EngineError
+from agroups.core import BoundExceeded, Element, EngineError
 from agroups.words import parse_word
 
-from oracles import orbit_images_bruteforce, rist_reference
+from oracles import (
+    dedupe_reference,
+    first_per_key,
+    orbit_images_bruteforce,
+    rist_reference,
+    schreier_reference,
+)
 import property_checks as pc
 
 
@@ -121,6 +127,33 @@ def test_projection_grigorchuk(grig):
 def test_projection_identity_gens(grig):
     proj = projection_gens(GenSet.from_elements([grig.identity()], ["1"]), "1")
     assert all(decide.is_trivial(g) for g in proj.elements)
+
+
+def test_stabilizers_match_word_reference(grig, bas, odo, rot3):
+    # the id-based Schreier pass keeps the transversal, generators and projections
+    # of the word-based one, which deduped by canonical key
+    rng = Random(37)
+    for _ in range(150):
+        group = rng.choice([grig, bas, odo, rot3])
+        words = [str(pc.random_word(group, rng, 4)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            words = list(group.state_names) + words
+            rng.shuffle(words)
+        gens = GenSet.from_elements([parse_word(w, group) for w in words])
+        level = rng.randint(0, 3 if group.degree == 2 else 1)
+        st = stabilizer_gens(gens, level)
+        base = tuple(group.vertices(level))
+        transversal, raw = schreier_reference(gens, base, lambda s, c: tuple(map(s.act, c)))
+        assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
+        assert list(map(str, st.generators)) == list(map(str, dedupe_reference(group, raw)))
+        vertex = pc.random_vertex(group, rng, 3)
+        st = vertex_stabilizer_gens(gens, vertex)
+        transversal, raw = schreier_reference(gens, vertex, Element.act)
+        want = dedupe_reference(group, raw)
+        assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
+        assert list(map(str, st.generators)) == list(map(str, want))
+        sections = first_per_key(g.section(vertex) for g in want)
+        assert list(map(str, projection_gens(gens, vertex).elements)) == list(map(str, sections))
 
 
 # -- rigid stabilizer witnesses -----------------------------------------------------

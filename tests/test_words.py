@@ -76,6 +76,7 @@ def test_word_letter_bound():
     assert len(word_letters(f"(a b)^{half}")) == MAX_WORD_LETTERS
     assert len(word_letters(f"(a b)^-{half}")) == MAX_WORD_LETTERS
     assert word_letters("1^1000000000000") == []
+    assert word_letters("1^" + "9" * 640) == []  # past sys.maxsize, which no list repeats
     too_long = [
         nested(19),  # commutator
         f"(a b)^{half + 1}",  # power
