@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
-from .core import EngineError, GroupDef, format_vertex
+from .core import EngineError, GroupDef, _shown, format_vertex
 from .decide import Portrait
 from .subgroups import GenSet, OrbitTable
 from .words import parse_word
@@ -26,20 +26,20 @@ from .words import parse_word
 
 def _load_group(source: str) -> GroupDef:
     path = Path(source)
-    if path.exists():
+    if os.path.exists(path):  # False, not OSError, for a name too long to look up
         return formats.load_group_file(path)
     if path.stem in corpus.GROUPS:
         return corpus.load_group(path.stem)
-    raise EngineError(f"group file {source!r} not found (and not a bundled group)")
+    raise EngineError(f"group file {_shown(source)} not found (and not a bundled group)")
 
 
 def _load_certificate(source: str):
     path = Path(source)
-    if path.exists():
+    if os.path.exists(path):
         return formats.load_certificate_file(path)
     if path.stem in corpus.CERTIFICATES:
         return corpus.load_certificate(path.stem)
-    raise EngineError(f"certificate {source!r} not found (and not bundled)")
+    raise EngineError(f"certificate {_shown(source)} not found (and not bundled)")
 
 
 def _gens(args, group: GroupDef) -> GenSet:
@@ -453,14 +453,20 @@ def cmd_certify(args, group: GroupDef) -> Result:
     return report.to_payload(), report.lines(), 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `agt` parser: the whole command table, or only the row named `command`."""
     parser = argparse.ArgumentParser(
         prog="agt",
         description="compute with groups of rooted-tree automorphisms "
         "defined by wreath recursion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        # the usage line of an error still lists every command, as the full table's does
+        sub.metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}"
     for name, summary, handler, options in COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=handler)
         for flag, keywords in (GROUP, JSON) + options:
@@ -469,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a request builds only its own row; help, empty and unknown input get the whole table
+    command = argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS) else None
+    args = build_parser(command).parse_args(argv)
     try:
         payload, lines, code = args.fn(args, _load_group(args.group))
     except EngineError as exc:

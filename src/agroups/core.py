@@ -103,11 +103,22 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@.]*\Z")
 
 VERTEX_CAP = 100_000  # vertices in one level, or vertex entries in one Schreier transversal
 MAX_DIGITS = 640  # digits in a number read from text; Python's int() reads at least 640
+SHOWN = 60  # characters of outside text that an error message echoes
 
 
 def _is_number(text: str) -> bool:
     """True iff `text` is ASCII digits, at most MAX_DIGITS of them."""
     return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
+
+def _clip(text: str) -> str:
+    """`text` for an error message: at most SHOWN characters, ending in '…' where cut."""
+    return text if len(text) <= SHOWN else text[: SHOWN - 1] + "…"
+
+
+def _shown(value: object) -> str:
+    """repr(value) for an error message, clipped like `_clip`."""
+    return _clip(repr(value))
 
 
 def format_cycles(cycles: Iterable[Iterable[int]]) -> str:
@@ -258,7 +269,9 @@ class GroupDef:
 
     def generator(self, name: str) -> "Element":
         if name not in self._states:
-            raise UnknownGenerator(f"no generator named {name!r} in group {self.name!r}")
+            raise UnknownGenerator(
+                f"no generator named {_shown(name)} in group {_shown(self.name)}"
+            )
         return Element._make(self, ((name, 1),))
 
     def generators(self) -> "list[Element]":
@@ -277,12 +290,15 @@ class GroupDef:
                 return ()
             parts = text.split(".")
             if not all(_is_number(p) for p in parts):
-                raise BadVertex(f"malformed vertex {v!r}")
+                raise BadVertex(f"malformed vertex {_shown(v)}")
             v = tuple(int(p) for p in parts)
         v = tuple(v)
         for letter in v:
             if not 1 <= letter <= self.degree:
-                raise BadVertex(f"letter {letter} outside 1..{self.degree} in vertex {format_vertex(v)}")
+                raise BadVertex(
+                    f"letter {_clip(str(letter))} outside 1..{self.degree}"
+                    f" in vertex {_clip(format_vertex(v))}"
+                )
         return v
 
     def vertices(self, level: int) -> Iterator[Vertex]:
@@ -327,29 +343,35 @@ def make_group(
     """
     if alphabet_size < 1:
         raise EngineError(f"alphabet size must be at least 1, got {alphabet_size}")
+    if alphabet_size > VERTEX_CAP:  # level 1 has one vertex per letter
+        raise BoundExceeded(
+            f"alphabet size {_clip(str(alphabet_size))} puts over {VERTEX_CAP} vertices on level 1"
+        )
     if isinstance(states, Mapping):
         rows = [(n, slots, perm) for n, (slots, perm) in states.items()]
     else:
         rows = [tuple(row) for row in states]
     if not rows:
-        raise EmptyGroup(f"group {name!r} declares no states")
+        raise EmptyGroup(f"group {_shown(name)} declares no states")
 
     table: "dict[str, State]" = {}
     for state_name, slots, perm in rows:
         if not isinstance(state_name, str) or not _NAME_RE.match(state_name):
-            raise BadStateName(f"invalid state name {state_name!r}")
+            raise BadStateName(f"invalid state name {_shown(state_name)}")
         if state_name in table:
-            raise DuplicateState(f"state {state_name!r} defined twice")
+            raise DuplicateState(f"state {_shown(state_name)} defined twice")
         if perm is None:
             perm = Perm.identity(alphabet_size)
         elif not isinstance(perm, Perm):
             perm = Perm.from_cycles(alphabet_size, perm)
         if perm.degree != alphabet_size:
-            raise BadPerm(f"state {state_name!r}: permutation degree {perm.degree} != {alphabet_size}")
+            raise BadPerm(
+                f"state {_shown(state_name)}: permutation degree {perm.degree} != {alphabet_size}"
+            )
         slots = tuple(None if s in (None, "1") else s for s in slots)
         if len(slots) != alphabet_size:
             raise UnknownState(
-                f"state {state_name!r}: expected {alphabet_size} slots, got {len(slots)}"
+                f"state {_shown(state_name)}: expected {alphabet_size} slots, got {len(slots)}"
             )
         table[state_name] = State(slots, perm)
 
@@ -357,7 +379,9 @@ def make_group(
     for state_name, st in table.items():
         for entry in st.slots:
             if entry is not None and entry not in known:
-                raise UnknownState(f"state {state_name!r} references undefined state {entry!r}")
+                raise UnknownState(
+                    f"state {_shown(state_name)} references undefined state {_shown(entry)}"
+                )
 
     return GroupDef(name, alphabet_size, table)
 

@@ -34,7 +34,7 @@ from .certify import (
     Transitive,
     Trivial,
 )
-from .core import _NAME_RE, GroupDef, _is_number, make_group
+from .core import _NAME_RE, GroupDef, _clip, _is_number, _shown, make_group
 from .words import ParseError, word_letters
 
 __all__ = [
@@ -59,12 +59,12 @@ def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ..
     if text in ("", "id"):
         return None
     if _CYCLE_RE.sub("", text).strip():
-        raise ParseError(f"malformed cycle notation {text!r}", line_no)
+        raise ParseError(f"malformed cycle notation {_shown(text)}", line_no)
     cycles = []
     for m in _CYCLE_RE.finditer(text):
         tokens = m.group(1).replace(",", " ").split()
         if not tokens or not all(_is_number(t) for t in tokens):
-            raise ParseError(f"malformed cycle ({m.group(1)})", line_no)
+            raise ParseError(f"malformed cycle ({_clip(m.group(1))})", line_no)
         cycles.append(tuple(int(t) for t in tokens))
     return tuple(cycles)
 
@@ -119,14 +119,14 @@ def parse_group_file(text: str) -> GroupDef:
         if keyword == "group":
             value = line[len("group") :].strip()
             if not _NAME_RE.match(value):
-                raise ParseError(f"invalid group name {value!r}", line_no)
+                raise ParseError(f"invalid group name {_shown(value)}", line_no)
             if name is not None:
                 raise ParseError("duplicate 'group' line", line_no)
             name = value
         elif keyword == "alphabet":
             value = line[len("alphabet") :].strip()
             if not _is_number(value) or int(value) < 1:
-                raise ParseError(f"invalid alphabet size {value!r}", line_no)
+                raise ParseError(f"invalid alphabet size {_shown(value)}", line_no)
             if degree is not None:
                 raise ParseError("duplicate 'alphabet' line", line_no)
             degree = int(value)
@@ -140,11 +140,11 @@ def parse_group_file(text: str) -> GroupDef:
             slots, tail = _parse_tuple_then_rest(rest, line_no)
             for entry in slots:
                 if entry != "1" and not _NAME_RE.match(entry):
-                    raise ParseError(f"invalid slot entry {entry!r}", line_no)
+                    raise ParseError(f"invalid slot entry {_shown(entry)}", line_no)
             cycles = _parse_cycles(tail, line_no)
             rows.append((gen_name, tuple(slots), cycles))
         else:
-            raise ParseError(f"unknown keyword {keyword!r}", line_no)
+            raise ParseError(f"unknown keyword {_shown(keyword)}", line_no)
     if name is None:
         raise ParseError("missing 'group' line")
     if degree is None:
@@ -177,7 +177,7 @@ def _check_word(text: str, line_no: int) -> str:
 def _check_vertex(text: str, line_no: int) -> str:
     text = text.strip()
     if not _VERTEX_RE.match(text):
-        raise ParseError(f"malformed vertex {text!r}", line_no)
+        raise ParseError(f"malformed vertex {_shown(text)}", line_no)
     return text
 
 
@@ -203,11 +203,11 @@ def parse_certificate(text: str) -> Certificate:
         keyword, rest = split[0], (split[1].strip() if len(split) > 1 else "")
         if keyword == "suite":
             if not _NAME_RE.match(rest):
-                raise ParseError(f"invalid suite name {rest!r}", line_no)
+                raise ParseError(f"invalid suite name {_shown(rest)}", line_no)
             name = rest
         elif keyword == "group":
             if not _NAME_RE.match(rest):
-                raise ParseError(f"invalid group name {rest!r}", line_no)
+                raise ParseError(f"invalid group name {_shown(rest)}", line_no)
             group_name = rest
         elif keyword == "trivial":
             assertions.append(Trivial(_check_word(rest, line_no)))
@@ -236,7 +236,7 @@ def parse_certificate(text: str) -> Certificate:
         elif keyword == "in_level_stab":
             level, word = _split_once(rest, ":", line_no)
             if not _is_number(level):
-                raise ParseError(f"invalid level {level!r}", line_no)
+                raise ParseError(f"invalid level {_shown(level)}", line_no)
             assertions.append(InLevelStab(int(level), _check_word(word, line_no)))
         elif keyword == "supported_only_at":
             vertex, word = _split_once(rest, ":", line_no)
@@ -247,7 +247,7 @@ def parse_certificate(text: str) -> Certificate:
             )
         elif keyword == "transitive":
             if not _is_number(rest) or int(rest) < 1:
-                raise ParseError(f"invalid depth {rest!r}", line_no)
+                raise ParseError(f"invalid depth {_shown(rest)}", line_no)
             assertions.append(Transitive(int(rest)))
         elif keyword == "projection_witness":
             vertex, remainder = _split_once(rest, ":", line_no)
@@ -274,7 +274,7 @@ def parse_certificate(text: str) -> Certificate:
                 DistinctPositiveWords(gens, int(m.group(2)), int(m.group(3)))
             )
         else:
-            raise ParseError(f"unknown assertion keyword {keyword!r}", line_no)
+            raise ParseError(f"unknown assertion keyword {_shown(keyword)}", line_no)
     if name is None:
         raise ParseError("missing 'suite' line")
     return Certificate(name, group_name, tuple(assertions))

@@ -16,6 +16,7 @@ import re
 from typing import List, NamedTuple, Optional, Tuple
 
 from .core import MAX_DIGITS, Element, EngineError, GroupDef, Letter, UnknownGenerator
+from .core import _clip, _shown
 
 __all__ = ["ParseError", "parse_word", "word_letters"]
 
@@ -53,7 +54,7 @@ def tokenize(text: str, line: Optional[int] = None) -> List[Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            raise ParseError(f"unexpected character {_shown(text[pos])}", line, pos + 1)
         if m.lastgroup == "name":
             tokens.append(Token("name", m.group(), pos + 1))
         elif m.lastgroup == "int":
@@ -100,7 +101,7 @@ class _WordParser:
     def expect(self, kind: str) -> Token:
         tok = self.take()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", self.line, tok.col)
+            raise ParseError(f"expected {kind!r}, found {_shown(tok.value)}", self.line, tok.col)
         return tok
 
     def fits(self, n: int, col: int) -> None:
@@ -145,7 +146,7 @@ class _WordParser:
         if tok.kind == "int":
             if tok.value == 1:
                 return []
-            raise ParseError(f"unexpected number {tok.value}", self.line, tok.col)
+            raise ParseError(f"unexpected number {_clip(str(tok.value))}", self.line, tok.col)
         if tok.kind in ("(", "["):
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -163,7 +164,7 @@ class _WordParser:
             self.depth -= 1
             self.fits(2 * (len(left) + len(right)), tok.col)
             return _invert(left) + _invert(right) + left + right
-        raise ParseError(f"unexpected token {tok.value!r}", self.line, tok.col)
+        raise ParseError(f"unexpected token {_shown(tok.value)}", self.line, tok.col)
 
 
 def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
@@ -175,7 +176,7 @@ def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
     letters = parser.word()
     if parser.peek() is not None:
         tok = parser.peek()
-        raise ParseError(f"unexpected token {tok.value!r}", line, tok.col)
+        raise ParseError(f"unexpected token {_shown(tok.value)}", line, tok.col)
     return letters
 
 
@@ -184,5 +185,7 @@ def parse_word(text: str, group: GroupDef) -> Element:
     letters = word_letters(text)
     for name, _ in letters:
         if name not in group.state_names:
-            raise UnknownGenerator(f"no generator named {name!r} in group {group.name!r}")
+            raise UnknownGenerator(
+                f"no generator named {_shown(name)} in group {_shown(group.name)}"
+            )
     return group.element(letters)

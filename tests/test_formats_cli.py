@@ -299,6 +299,42 @@ def test_oversized_numbers_exit_2(tmp_path, capsys, argv, text):
     assert err.startswith("agt: error: ")
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["act", *G, "--word", "a", "--vertex", "1" * 5000], None),
+        (["act", *G, "--word", "a", "--vertex", ".".join("3" * 2500)], None),
+        (["eval", *G, "--word", LONG], None),
+        (["eval", *G, "--word", "a " + "7" * 640], None),
+        (["eval", "--word", "a", "--group", LONG], None),
+        (["certify", *G, "--suite", LONG], None),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet {LONG}\ngen a = (1, 1)\n"),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet {'9' * 640}\ngen a = (1, 1)\n"),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet 2\ngen a = (1, 1) ({LONG})\n"),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet 2\ngen a = (1, {LONG}-)\n"),
+        (["certify", *G, "--suite"], f"suite s\nin_level_stab {LONG} : a\n"),
+        (["certify", *G, "--suite"], f"suite s\nsupported_only_at {LONG} : a\n"),
+    ],
+    ids=[
+        "vertex", "vertex letters", "word name", "word number", "group path", "suite path",
+        "alphabet", "alphabet size", "cycle", "slot", "level", "cert vertex",
+    ],
+)
+def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
+    # each echoed its 5,000-character input whole in the error line
+    if text is not None:
+        path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
+        path.write_text(text)
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert "…" in err
+
+
 def _env():
     """The environment of a child Python that imports this checkout's package."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -322,12 +358,15 @@ def _limited(argv, tmp_path):
         ["project", *G, "--vertex", ".".join("1" * 22)],
         ["rist", *G, "--vertex", ".".join("2" * 24), "--maxlen", "2"],
         ["certify", *G, "--suite", "level40.cert"],
+        ["eval", "--group", "wide.agt", "--word", "a"],
     ],
-    ids=["stab level 24", "project depth 22", "rist depth 24", "in_level_stab 40"],
+    ids=["stab level 24", "project depth 22", "rist depth 24", "in_level_stab 40", "alphabet"],
 )
 def test_level_sizes_are_bounded(tmp_path, argv):
-    # each built all d^n vertices or an unbounded transversal: MemoryError under 1 GB
+    # each built all d^n vertices or an unbounded transversal: MemoryError under 1 GB;
+    # the wide alphabet raised MemoryError in Perm.identity under this test's 512 MiB
     (tmp_path / "level40.cert").write_text("suite s\nin_level_stab 40 : a\n")
+    (tmp_path / "wide.agt").write_text("group g\nalphabet 100000000\ngen a = (1, 1)\n")
     code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
     assert code == 2 and err.startswith("agt: error: ") and str(VERTEX_CAP) in err, err
 
