@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, Element, EngineError, GroupDef, Perm
-from .core import format_cycles, format_vertex
+from .core import _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -309,7 +309,8 @@ def run_suite(cert: Certificate, group: GroupDef) -> Report:
     """Evaluate every assertion in order; the report mirrors that order."""
     if cert.group_name is not None and cert.group_name != group.name:
         raise UnknownGroup(
-            f"certificate {cert.name!r} is for group {cert.group_name!r}, got {group.name!r}"
+            f"certificate {_shown(cert.name)} is for group {_shown(cert.group_name)},"
+            f" got {_shown(group.name)}"
         )
     report = Report(cert.name, group.name)
     start = time.monotonic()

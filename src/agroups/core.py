@@ -99,7 +99,8 @@ Vertex = Tuple[int, ...]
 
 Letter = Tuple[str, int]  # (state name, exponent +1 or -1)
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_@.]*\Z")
+_NAME = r"[A-Za-z_][A-Za-z0-9_@.]*"  # state, group and suite names, in every grammar that reads one
+_NAME_RE = re.compile(_NAME + r"\Z")
 
 VERTEX_CAP = 100_000  # vertices in one level, or vertex entries in one Schreier transversal
 MAX_DIGITS = 640  # digits in a number read from text; Python's int() reads at least 640

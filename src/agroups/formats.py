@@ -34,7 +34,7 @@ from .certify import (
     Transitive,
     Trivial,
 )
-from .core import _NAME_RE, GroupDef, _clip, _is_number, _shown, make_group
+from .core import _NAME, _NAME_RE, EngineError, GroupDef, _clip, _is_number, _shown, make_group
 from .words import ParseError, word_letters
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "parse_group_file",
 ]
 
-_GEN_RE = re.compile(r"gen\s+([A-Za-z_][A-Za-z0-9_@.]*)\s*=\s*(.+)\Z")
+_GEN_RE = re.compile(rf"gen\s+({_NAME})\s*=\s*(.+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 _VERTEX_RE = re.compile(r"(\.|[0-9]+(\.[0-9]+)*)\Z")
 
@@ -162,8 +162,19 @@ def format_group_file(group: GroupDef) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(path) -> str:
+    """The UTF-8 text of the file at `path`; an EngineError if it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+    raise EngineError(f"cannot read {_shown(str(path))}: {reason}")
+
+
 def load_group_file(path) -> GroupDef:
-    return parse_group_file(Path(path).read_text())
+    return parse_group_file(_read(path))
 
 
 # -- certificate files --------------------------------------------------------
@@ -281,4 +292,4 @@ def parse_certificate(text: str) -> Certificate:
 
 
 def load_certificate_file(path) -> Certificate:
-    return parse_certificate(Path(path).read_text())
+    return parse_certificate(_read(path))

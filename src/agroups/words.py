@@ -13,10 +13,10 @@ the empty word.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .core import MAX_DIGITS, Element, EngineError, GroupDef, Letter, UnknownGenerator
-from .core import _clip, _shown
+from .core import _NAME, _clip, _reduce, _shown
 
 __all__ = ["ParseError", "parse_word", "word_letters"]
 
@@ -33,41 +33,15 @@ class ParseError(EngineError):
         super().__init__(where + message)
 
 
-class Token(NamedTuple):
-    kind: str
-    value: object
-    col: int
-
-
+_Token = Tuple[Optional[str], str, int]  # (kind, text, column); kind is "name", "int" or the symbol
+# `->`, `=` and `:` belong to no word; they are tokens so that errors name them as such.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_@.]*)"
+    rf"(?P<name>{_NAME})"
     r"|(?P<int>-?[0-9]+)"
-    r"|(?P<arrow>->)"
-    r"|(?P<sym>[()\[\],^=:])"
+    r"|(?P<sym>->|[()\[\],^=:])"
+    r"|(?P<bad>\S)"
 )
-
-
-def tokenize(text: str, line: Optional[int] = None) -> List[Token]:
-    tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {_shown(text[pos])}", line, pos + 1)
-        if m.lastgroup == "name":
-            tokens.append(Token("name", m.group(), pos + 1))
-        elif m.lastgroup == "int":
-            if len(m.group().lstrip("-")) > MAX_DIGITS:
-                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, pos + 1)
-            tokens.append(Token("int", int(m.group()), pos + 1))
-        elif m.lastgroup == "arrow":
-            tokens.append(Token("->", "->", pos + 1))
-        elif m.lastgroup == "sym":
-            tokens.append(Token(m.group(), m.group(), pos + 1))
-        pos = m.end()
-    return tokens
-
+_END: _Token = (None, "", 0)  # closes every token list, so the parser never runs off its end
 
 # Brackets nest at most this deep; each level costs the recursive descent three frames.
 MAX_NESTING = 100
@@ -82,110 +56,104 @@ def _invert(letters: List[Letter]) -> List[Letter]:
 class _WordParser:
     """Recursive-descent parser producing a flat letter list."""
 
-    def __init__(self, tokens: List[Token], line: Optional[int] = None):
+    def __init__(self, tokens: List[_Token], line: Optional[int]):
         self.tokens = tokens
         self.pos = 0
         self.line = line
         self.depth = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok[0] is None:
             raise ParseError("unexpected end of word", self.line)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {_shown(tok.value)}", self.line, tok.col)
         return tok
 
     def fits(self, n: int, col: int) -> None:
         if n > MAX_WORD_LETTERS:
             raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", self.line, col)
 
-    def word(self, stop: Tuple[str, ...] = ()) -> List[Letter]:
+    def word(self, stop: Optional[str]) -> List[Letter]:
+        # returns only at `stop`; any other token a term cannot start is an error in `atom`
         letters: List[Letter] = []
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind in stop:
+            kind, _, col = self.tokens[self.pos]
+            if kind == stop:
                 return letters
-            term = self.term(stop)
-            self.fits(len(letters) + len(term), tok.col)
+            term = self.term()
+            self.fits(len(letters) + len(term), col)
             letters.extend(term)
 
-    def term(self, stop: Tuple[str, ...]) -> List[Letter]:
+    def term(self) -> List[Letter]:
         letters = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "^":
-                return letters
-            self.take()
-            nxt = self.peek()
-            if nxt is None:
+        while self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            kind, text, col = self.tokens[self.pos]
+            if kind is None:
                 raise ParseError("dangling '^'", self.line)
-            if nxt.kind == "int":
-                self.take()
-                k = nxt.value
-                self.fits(abs(k) * len(letters), nxt.col)
+            if kind == "int":
+                self.pos += 1
+                k = int(text)
+                self.fits(abs(k) * len(letters), col)
                 if letters:  # [] * k overflows past sys.maxsize, though it stays empty
                     letters = (letters if k >= 0 else _invert(letters)) * abs(k)
             else:
                 conj = self.atom()
-                self.fits(2 * len(conj) + len(letters), nxt.col)
+                self.fits(2 * len(conj) + len(letters), col)
                 letters = _invert(conj) + letters + conj
+        return letters
 
     def atom(self) -> List[Letter]:
-        tok = self.take()
-        if tok.kind == "name":
-            return [(tok.value, 1)]
-        if tok.kind == "int":
-            if tok.value == 1:
+        kind, text, col = self.take()
+        if kind == "name":
+            return [(text, 1)]
+        if kind == "int":
+            if int(text) == 1:
                 return []
-            raise ParseError(f"unexpected number {_clip(str(tok.value))}", self.line, tok.col)
-        if tok.kind in ("(", "["):
+            raise ParseError(f"unexpected number {_clip(str(int(text)))}", self.line, col)
+        if kind == "(" or kind == "[":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", self.line, tok.col)
-        if tok.kind == "(":
-            inner = self.word(stop=(")",))
-            self.expect(")")
+                raise ParseError(f"brackets nested deeper than {MAX_NESTING}", self.line, col)
+        if kind == "(":
+            inner = self.word(")")
+            self.take()
             self.depth -= 1
             return inner
-        if tok.kind == "[":
-            left = self.word(stop=(",",))
-            self.expect(",")
-            right = self.word(stop=("]",))
-            self.expect("]")
+        if kind == "[":
+            left = self.word(",")
+            self.take()
+            right = self.word("]")
+            self.take()
             self.depth -= 1
-            self.fits(2 * (len(left) + len(right)), tok.col)
+            self.fits(2 * (len(left) + len(right)), col)
             return _invert(left) + _invert(right) + left + right
-        raise ParseError(f"unexpected token {_shown(tok.value)}", self.line, tok.col)
+        raise ParseError(f"unexpected token {_shown(text)}", self.line, col)
 
 
 def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
     """Parse `text` without resolving names against any group."""
-    tokens = tokenize(text, line)
+    # every token is read before parsing, so a bad character anywhere beats a grammar error
+    tokens: List[_Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind, piece, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {_shown(piece)}", line, col)
+        if kind == "int" and len(piece.lstrip("-")) > MAX_DIGITS:
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", line, col)
+        tokens.append((piece if kind == "sym" else kind, piece, col))
     if not tokens:
         raise ParseError("empty word (use '1' for the identity)", line)
-    parser = _WordParser(tokens, line)
-    letters = parser.word()
-    if parser.peek() is not None:
-        tok = parser.peek()
-        raise ParseError(f"unexpected token {_shown(tok.value)}", line, tok.col)
-    return letters
+    tokens.append(_END)
+    return _WordParser(tokens, line).word(None)
 
 
 def parse_word(text: str, group: GroupDef) -> Element:
     """Parse `text` into a freely reduced element of `group`."""
     letters = word_letters(text)
     for name, _ in letters:
-        if name not in group.state_names:
+        if name not in group._states:
             raise UnknownGenerator(
                 f"no generator named {_shown(name)} in group {_shown(group.name)}"
             )
-    return group.element(letters)
+    return Element._make(group, _reduce(letters))

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -317,10 +318,11 @@ LONG = "x" * 5000
         (["eval", "--word", "a", "--group"], f"group g\nalphabet 2\ngen a = (1, {LONG}-)\n"),
         (["certify", *G, "--suite"], f"suite s\nin_level_stab {LONG} : a\n"),
         (["certify", *G, "--suite"], f"suite s\nsupported_only_at {LONG} : a\n"),
+        (["certify", *G, "--suite"], f"suite {LONG}\ngroup {LONG}\n"),
     ],
     ids=[
         "vertex", "vertex letters", "word name", "word number", "group path", "suite path",
-        "alphabet", "alphabet size", "cycle", "slot", "level", "cert vertex",
+        "alphabet", "alphabet size", "cycle", "slot", "level", "cert vertex", "cert group",
     ],
 )
 def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
@@ -333,6 +335,24 @@ def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
     assert (code, out) == (2, "")
     assert err.startswith("agt: error: ") and err.count("\n") == 1 and len(err) < 200, err
     assert "…" in err
+
+
+@pytest.mark.parametrize("option", ["--group", "--suite"])
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_unreadable_files_exit_2(tmp_path, capsys, option, kind):
+    # each raised IsADirectoryError or UnicodeDecodeError, with a traceback and exit 1
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        data = random.Random(8).randbytes(512)
+        with pytest.raises(UnicodeDecodeError):
+            data.decode("utf-8")
+        path.write_bytes(data)
+    given = {"--group": "grigorchuk", "--suite": "grigorchuk_nea", option: str(path)}
+    code, out, err = run_cli(capsys, "certify", *[x for kv in given.items() for x in kv])
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: cannot read '") and err.count("\n") == 1, err
 
 
 def _env():

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from agroups.core import UnknownGenerator
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, parse_word, word_letters
+from oracles import parse_word_reference, word_letters_reference
 
 
 def test_basic_words(grig):
@@ -104,3 +107,90 @@ def test_roundtrip_display(grig):
     for text in ["a b^-1 c", "a a a", "1", "d c b a"]:
         w = parse_word(text, grig)
         assert parse_word(str(w), grig) == w
+
+
+NAMES = ["a", "b", "c", "d", "x", "_", "a@1", "b.c", "d.", "A_9.@z"]
+NUMBERS = [
+    "1", "2", "3", "0", "-1", "-2", "01", "-0", "12", "1048577", "4294967296",
+    "9" * 640, "9" * 641, "-" + "9" * 640, "0" * 641,
+]
+SYMBOLS = ["^", "-", "->", "(", ")", "[", "]", ",", "=", ":"]
+ODD = ["\xa0", "\x1c", "\u0663", "\xe9"]  # NBSP and \x1c are whitespace to `\s`; ٣ and é are not
+SEPARATORS = ["", " ", "  ", "\t", "\n", "\xa0", "\x1c"]
+PIECES = NAMES + NUMBERS + SYMBOLS + ODD
+
+
+def _grammatical(rng, depth):
+    """A word the grammar accepts (unknown names and all), nested at most `depth` deep."""
+    def atom(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.5:
+            return rng.choice(NAMES[:6] + ["1"])
+        if r < 0.75:
+            return "(" + word(depth - 1) + ")"
+        return "[" + word(depth - 1) + ", " + word(depth - 1) + "]"
+
+    def term(depth):
+        text, r = atom(depth), rng.random()
+        if r < 0.3:
+            text += "^" + rng.choice(["2", "3", "-1", "-2", "0", "1"])
+        elif r < 0.4:
+            text += " ^ " + atom(depth)
+        return text
+
+    def word(depth):
+        return " ".join(term(depth) for _ in range(rng.randint(1, 3)))
+
+    return word(depth)
+
+
+def _random_text(rng):
+    """A grammatical word with a few pieces spliced in or cut out, or pieces at random."""
+    if rng.random() < 0.5:
+        pieces = (rng.choice(PIECES) + rng.choice(SEPARATORS) for _ in range(rng.randint(0, 8)))
+        return "".join(pieces)
+    text = _grammatical(rng, rng.randint(0, 3))
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.6:
+            text = text[:i] + rng.choice(PIECES + SEPARATORS) + text[i:]
+        else:
+            text = text[:i] + text[i + rng.randint(1, 3):]
+    return text
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:  # any type, so a mismatch shows as a difference, not a crash
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return (result.group, result.letters) if hasattr(result, "letters") else result
+
+
+def test_word_parser_matches_reference(grig):
+    # the one-scan parser gives the token-list parser's letters, or its error, message and column
+    rng = random.Random(20260)
+    half = MAX_WORD_LETTERS // 2
+    deep = MAX_NESTING + 1
+    bounds = [  # each bound at its edge, which random draws rarely reach
+        "(" * MAX_NESTING + "a" + ")" * MAX_NESTING, "[a, " * deep + "a" + "]" * deep,
+        f"a^{half} b^{half} a", f"a^{half} (b)^-{half}",
+        f"[a^{half}, b]", f"(a^{half}) ^ (b^{half})",
+    ]
+    seen = set()
+    for text in bounds + [_random_text(rng) for _ in range(20_000)]:
+        for new, old, kwargs in [
+            (word_letters, word_letters_reference, {}),
+            (word_letters, word_letters_reference, {"line": 7}),
+            (parse_word, parse_word_reference, {"group": grig}),
+        ]:
+            got = _outcome(new, text, **kwargs)
+            assert got == _outcome(old, text, **kwargs), (text, kwargs)
+            error = isinstance(got, tuple) and isinstance(got[0], type)
+            seen.add(" ".join(got[1].rsplit(": ", 1)[-1].split()[:2]) if error else "ok")
+    # the draw reaches words, unknown names and each error the grammar gives
+    assert seen == {
+        "ok", "no generator", "empty word", "unexpected character", "number longer",
+        "brackets nested", "unexpected token", "unexpected end", "dangling '^'",
+        "unexpected number", "word longer",
+    }, seen
