@@ -25,20 +25,19 @@ from .words import parse_word
 
 
 def _load_group(source: str) -> GroupDef:
-    path = Path(source)
-    if os.path.exists(path):  # False, not OSError, for a name too long to look up
-        return formats.load_group_file(path)
-    if path.stem in corpus.GROUPS:
-        return corpus.load_group(path.stem)
+    if os.path.exists(source):  # False, not OSError, for a name too long to look up
+        return formats.load_group_file(Path(source))
+    # only a bare NAME or NAME.agt falls back to the bundled group, never a missing path
+    if (name := source.removesuffix(".agt")) in corpus.GROUPS:
+        return corpus.load_group(name)
     raise EngineError(f"group file {_shown(source)} not found (and not a bundled group)")
 
 
 def _load_certificate(source: str):
-    path = Path(source)
-    if os.path.exists(path):
-        return formats.load_certificate_file(path)
-    if path.stem in corpus.CERTIFICATES:
-        return corpus.load_certificate(path.stem)
+    if os.path.exists(source):
+        return formats.load_certificate_file(Path(source))
+    if (name := source.removesuffix(".cert")) in corpus.CERTIFICATES:
+        return corpus.load_certificate(name)
     raise EngineError(f"certificate {_shown(source)} not found (and not bundled)")
 
 

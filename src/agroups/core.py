@@ -122,6 +122,12 @@ def _shown(value: object) -> str:
     return _clip(repr(value))
 
 
+def _letter_text(letter: Letter) -> str:
+    """The printed form of one letter: ``a`` or ``a^-1``."""
+    name, exp = letter
+    return name if exp == 1 else f"{name}^-1"
+
+
 def format_cycles(cycles: Iterable[Iterable[int]]) -> str:
     """Cycle notation such as ``(1 2)(3 4)``, or ``id`` for no cycles."""
     return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "id"
@@ -139,7 +145,7 @@ class Perm:
     def __init__(self, image: Iterable[int]):
         image = tuple(image)
         if sorted(image) != list(range(1, len(image) + 1)):
-            raise BadPerm(f"not a bijection of 1..{len(image)}: {image!r}")
+            raise BadPerm(f"not a bijection of 1..{len(image)}: {_shown(image)}")
         self.image = image
 
     @classmethod
@@ -159,9 +165,9 @@ class Perm:
             cycle = list(cycle)
             for x in cycle:
                 if not 1 <= x <= degree:
-                    raise BadPerm(f"letter {x} outside 1..{degree}")
+                    raise BadPerm(f"letter {_clip(str(x))} outside 1..{degree}")
             if len(set(cycle)) != len(cycle):
-                raise BadPerm(f"repeated letter in cycle {tuple(cycle)}")
+                raise BadPerm(f"repeated letter in cycle {_shown(tuple(cycle))}")
             for i, x in enumerate(cycle):
                 image[x - 1] = cycle[(i + 1) % len(cycle)]
         return cls(image)
@@ -230,10 +236,11 @@ class GroupDef:
     It compiles the validated states once into the step table read by
     :meth:`Element.coords` and :meth:`Element.act`: each letter ``(name,
     1)`` or ``(name, -1)`` maps to its root image tuple and to its section
-    letter (None for the identity) at each input letter.
+    letter (None for the identity) at each input letter.  It also maps the
+    printed text of each letter, ``a`` or ``a^-1``, to the letter.
     """
 
-    __slots__ = ("name", "degree", "_states", "_sig", "_step")
+    __slots__ = ("name", "degree", "_states", "_sig", "_step", "_printed")
 
     def __init__(self, name: str, degree: int, states: "dict[str, State]"):
         self.name = name
@@ -250,6 +257,7 @@ class GroupDef:
             by_input = (slots[j - 1] for j in perm.image)
             self._step[(n, 1)] = (perm.image, tuple((s, 1) if s else None for s in by_input))
             self._step[(n, -1)] = (perm.inv().image, tuple((s, -1) if s else None for s in slots))
+        self._printed = {_letter_text(letter): letter for letter in self._step}
 
     # -- states ---------------------------------------------------------
 
@@ -261,7 +269,9 @@ class GroupDef:
         try:
             return self._states[name]
         except KeyError:
-            raise UnknownState(f"no state named {name!r} in group {self.name!r}") from None
+            raise UnknownState(
+                f"no state named {_shown(name)} in group {_shown(self.name)}"
+            ) from None
 
     # -- element construction -------------------------------------------
 
@@ -423,7 +433,7 @@ class Element:
         letters = tuple(letters)
         for name, exp in letters:
             if name not in group._states:
-                raise UnknownState(f"no state named {name!r} in group {group.name!r}")
+                raise UnknownState(f"no state named {_shown(name)} in group {_shown(group.name)}")
             if exp not in (1, -1):
                 raise EngineError(f"letter exponent must be +1 or -1, got {exp}")
         self.group = group
@@ -442,7 +452,8 @@ class Element:
     def _check_group(self, other: "Element") -> None:
         if self.group != other.group:
             raise MixedGroups(
-                f"elements of {self.group.name!r} and {other.group.name!r} cannot be combined"
+                f"elements of {_shown(self.group.name)} and {_shown(other.group.name)}"
+                " cannot be combined"
             )
 
     def __mul__(self, other: "Element") -> "Element":
@@ -537,7 +548,7 @@ class Element:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        return " ".join(n if e == 1 else f"{n}^-1" for n, e in self.letters)
+        return " ".join(map(_letter_text, self.letters))
 
     def __repr__(self) -> str:
         return str(self)

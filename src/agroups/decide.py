@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm
+from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, _shown
 
 __all__ = [
     "OrderResult",
@@ -66,7 +66,7 @@ def equals(g: Element, h: Element) -> bool:
     """Semantic equality of the automorphisms denoted by `g` and `h`."""
     if g.group != h.group:
         raise MixedGroups(
-            f"cannot compare elements of {g.group.name!r} and {h.group.name!r}"
+            f"cannot compare elements of {_shown(g.group.name)} and {_shown(h.group.name)}"
         )
     return is_trivial(g * h.inverse())
 

@@ -8,6 +8,10 @@ Words are whitespace-separated products of terms:
 ``x ^ k`` is the k-th power (k may be negative), ``x ^ y`` the conjugate
 ``y^-1 x y`` and ``[x, y]`` the commutator ``x^-1 y^-1 x y``.  ``1`` is
 the empty word.
+
+:func:`parse_word` reads a word in the form that elements print in,
+``a b^-1 c``, by one table lookup per letter, and hands any other text
+to the grammar.
 """
 
 from __future__ import annotations
@@ -150,6 +154,11 @@ def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
 
 def parse_word(text: str, group: GroupDef) -> Element:
     """Parse `text` into a freely reduced element of `group`."""
+    # str.split() and the tokenizer part a text at the same (Unicode) whitespace
+    printed = group._printed
+    pieces = text.split()
+    if 0 < len(pieces) <= MAX_WORD_LETTERS and all(p in printed for p in pieces):
+        return Element._make(group, _reduce([printed[p] for p in pieces]))
     letters = word_letters(text)
     for name, _ in letters:
         if name not in group._states:

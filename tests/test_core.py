@@ -58,6 +58,26 @@ def test_make_group_validates(grig):
         make_group(2, {"a": (("1",), None)})  # wrong slot count
 
 
+def test_errors_clip_echoed_input(grig):
+    # each echoed its input whole: a 3,000-letter image or cycle, a 700-digit letter or a
+    # 5,000-character name
+    long = "x" * 5000
+    other = make_group(2, {"a": (("1", "1"), ((1, 2),))}, name=long)
+    cases = [
+        (BadPerm, lambda: Perm((1,) * 3000)),
+        (BadPerm, lambda: Perm.from_cycles(3000, [tuple(range(1, 3001)) + (1,)])),
+        (BadPerm, lambda: Perm.from_cycles(2, [(1, 10**700)])),
+        (UnknownState, lambda: grig.state(long)),
+        (UnknownState, lambda: grig.element([(long, 1)])),
+        (MixedGroups, lambda: grig.generator("a") * other.generator("a")),
+        (MixedGroups, lambda: decide.equals(grig.generator("a"), other.generator("a"))),
+    ]
+    for error, call in cases:
+        with pytest.raises(error) as excinfo:
+            call()
+        assert len(str(excinfo.value)) < 200 and "…" in str(excinfo.value), str(excinfo.value)
+
+
 def test_element_reduction_and_ops(grig, bas):
     a, b = grig.generator("a"), grig.generator("b")
     assert (b * b.inverse()).letters == ()

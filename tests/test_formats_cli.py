@@ -116,6 +116,20 @@ def test_cli_certify_bundled(capsys):
     assert "passed" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("option", ["--group", "--suite"])
+@pytest.mark.parametrize("form", ["directory", "suffix"])
+def test_cli_missing_path_is_not_bundled(tmp_path, monkeypatch, capsys, option, form):
+    # each loaded the bundled file of the same stem and exited 0
+    monkeypatch.chdir(tmp_path)
+    name = {"--group": "grigorchuk", "--suite": "grigorchuk_nea"}[option]
+    kind = {"--group": ".agt", "--suite": ".cert"}[option]
+    source = str(tmp_path / "missing" / (name + kind)) if form == "directory" else name + ".txt"
+    given = {"--group": "grigorchuk", "--suite": "grigorchuk_nea", option: source}
+    code, out, err = run_cli(capsys, "certify", *[x for kv in given.items() for x in kv])
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: ") and "not found" in err, err
+
+
 def test_cli_certify_failing_suite(tmp_path, capsys):
     cert = tmp_path / "bad.cert"
     cert.write_text("suite bad\ntrivial a\n")
@@ -301,6 +315,7 @@ def test_oversized_numbers_exit_2(tmp_path, capsys, argv, text):
 
 
 LONG = "x" * 5000
+CYCLE = "(" + " ".join(map(str, range(1, 3001))) + " 1)"  # repeats its first letter
 
 
 @pytest.mark.parametrize(
@@ -319,14 +334,16 @@ LONG = "x" * 5000
         (["certify", *G, "--suite"], f"suite s\nin_level_stab {LONG} : a\n"),
         (["certify", *G, "--suite"], f"suite s\nsupported_only_at {LONG} : a\n"),
         (["certify", *G, "--suite"], f"suite {LONG}\ngroup {LONG}\n"),
+        (["eval", "--word", "a", "--group"], f"group g\nalphabet 3000\ngen a = (1, 1) {CYCLE}\n"),
     ],
     ids=[
         "vertex", "vertex letters", "word name", "word number", "group path", "suite path",
         "alphabet", "alphabet size", "cycle", "slot", "level", "cert vertex", "cert group",
+        "repeated letter",
     ],
 )
 def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
-    # each echoed its 5,000-character input whole in the error line
+    # each echoed its input of 5,000 characters or more whole in the error line
     if text is not None:
         path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
         path.write_text(text)

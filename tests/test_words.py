@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from agroups import words
 from agroups.core import UnknownGenerator
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, parse_word, word_letters
 from oracles import parse_word_reference, word_letters_reference
@@ -159,6 +160,18 @@ def _random_text(rng):
     return text
 
 
+def _printed_forms(rng, group):
+    """A random nonempty reduced word as elements print it, rejoined by each of SEPARATORS."""
+    while True:
+        size = rng.randint(1, 12)
+        element = group.element(
+            (rng.choice(group.state_names), rng.choice((1, -1))) for _ in range(size)
+        )
+        if element.letters:
+            pieces = str(element).split(" ")
+            return [sep.join(pieces) for sep in SEPARATORS]
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         result = fn(*args, **kwargs)
@@ -167,8 +180,9 @@ def _outcome(fn, *args, **kwargs):
     return (result.group, result.letters) if hasattr(result, "letters") else result
 
 
-def test_word_parser_matches_reference(grig):
-    # the one-scan parser gives the token-list parser's letters, or its error, message and column
+def test_word_parser_matches_reference(grig, monkeypatch):
+    # the one-scan parser and the printed-form lookup give the token-list parser's letters,
+    # or its error, message and column
     rng = random.Random(20260)
     half = MAX_WORD_LETTERS // 2
     deep = MAX_NESTING + 1
@@ -177,8 +191,11 @@ def test_word_parser_matches_reference(grig):
         f"a^{half} b^{half} a", f"a^{half} (b)^-{half}",
         f"[a^{half}, b]", f"(a^{half}) ^ (b^{half})",
     ]
+    draw = [_random_text(rng) for _ in range(20_000)]
+    printed = [_printed_forms(rng, grig) for _ in range(500)]
+    near = ["a z b", "a ^-1", "a^-1^-1", "a^-10", "a^-1b", "b^-1 1", "1", " ", "\t\n", "\xa0\x1c"]
     seen = set()
-    for text in bounds + [_random_text(rng) for _ in range(20_000)]:
+    for text in bounds + near + [t for forms in printed for t in forms] + draw:
         for new, old, kwargs in [
             (word_letters, word_letters_reference, {}),
             (word_letters, word_letters_reference, {"line": 7}),
@@ -194,3 +211,22 @@ def test_word_parser_matches_reference(grig):
         "brackets nested", "unexpected token", "unexpected end", "dangling '^'",
         "unexpected number", "word longer",
     }, seen
+
+    # one letter over the bound, the grammar gives its error at the letter's column
+    with pytest.raises(ParseError) as excinfo:
+        parse_word("a " * (MAX_WORD_LETTERS + 1), grig)
+    col = 2 * MAX_WORD_LETTERS + 1
+    assert str(excinfo.value) == f"col {col}: word longer than {MAX_WORD_LETTERS} letters"
+
+    # the printed forms, the bound included, are read without the grammar
+    at_limit = "a " * MAX_WORD_LETTERS
+    limit_letters = tuple(word_letters(at_limit))
+
+    def grammar(text, line=None):
+        raise AssertionError(f"grammar path taken for {text!r}")
+
+    monkeypatch.setattr(words, "word_letters", grammar)
+    assert parse_word(at_limit, grig).letters == limit_letters
+    for text in [t for forms in printed for t in forms[1:]]:  # forms[0] is joined by ""
+        got = _outcome(parse_word, text, group=grig)
+        assert got == _outcome(parse_word_reference, text, group=grig), text
