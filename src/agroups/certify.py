@@ -141,11 +141,10 @@ class InLevelStab(Assertion):
         return f"in_level_stab {self.level} : {self.word}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
-        g = parse_word(self.word, group)
-        moved = [v for v in group.vertices(self.level) if g.act(v) != v]
+        moved = subgroups.moved_vertex(parse_word(self.word, group), self.level)
         return self._result(
-            not moved,
-            f"{self.word} moves {format_vertex(moved[0]) if moved else ''}",
+            moved is None,
+            f"{self.word} moves {'' if moved is None else format_vertex(moved)}",
         )
 
 

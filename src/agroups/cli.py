@@ -96,16 +96,13 @@ def closure_dot(sc: decide.SectionClosure) -> str:
 
 def schreier_dot(table: OrbitTable, level: int) -> str:
     lines = [f"digraph schreier_level_{level} {{", "  node [shape=circle];"]
-    verts = [v for block in table.level(level).blocks for v in block]
-    for v in sorted(verts):
-        lines.append(f"  {_quote(format_vertex(v))};")
-    for name, elem in table.gens.items():
-        for v in sorted(verts):
-            w = elem.act(v)
-            lines.append(
-                f"  {_quote(format_vertex(v))} -> {_quote(format_vertex(w))}"
-                f" [label={_quote(name)}];"
-            )
+    group = table.gens.group
+    names = [_quote(format_vertex(v)) for v in group.vertices(level)]
+    lines.extend(f"  {v};" for v in names)
+    for name, perm in zip(table.gens.names, group.level_perm(table.gens.elements, level)):
+        lines.extend(
+            f"  {v} -> {names[w]} [label={_quote(name)}];" for v, w in zip(names, perm)
+        )
     lines.append("}")
     return "\n".join(lines)
 

@@ -26,6 +26,7 @@ so they can be shared freely between concurrent tasks.
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -234,10 +235,11 @@ class GroupDef:
     constructor trusts its input.
 
     It compiles the validated states once into the step table read by
-    :meth:`Element.coords` and :meth:`Element.act`: each letter ``(name,
-    1)`` or ``(name, -1)`` maps to its root image tuple and to its section
-    letter (None for the identity) at each input letter.  It also maps the
-    printed text of each letter, ``a`` or ``a^-1``, to the letter.
+    :meth:`Element.coords`, :meth:`Element.act` and :meth:`level_perms`:
+    each letter ``(name, 1)`` or ``(name, -1)`` maps to its root image
+    tuple and to its section letter (None for the identity) at each input
+    letter.  It also maps the printed text of each letter, ``a`` or
+    ``a^-1``, to the letter.
     """
 
     __slots__ = ("name", "degree", "_states", "_sig", "_step", "_printed")
@@ -312,16 +314,74 @@ class GroupDef:
                 )
         return v
 
-    def vertices(self, level: int) -> Iterator[Vertex]:
-        """All level-`level` vertices in lexicographic order."""
+    def _check_level(self, level: int) -> None:
         # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
         if max(self.degree, 2) ** min(level, VERTEX_CAP) > VERTEX_CAP:
             raise BoundExceeded(f"level {level} has over {VERTEX_CAP} vertices")
+
+    def vertices(self, level: int) -> Iterator[Vertex]:
+        """All level-`level` vertices in lexicographic order."""
+        self._check_level(level)
         letters = range(1, self.degree + 1)
         stack = [()]
         for _ in range(level):
             stack = [v + (i,) for v in stack for i in letters]
         yield from stack
+
+    # -- the level action -------------------------------------------------
+
+    def level_perms(self, words: Sequence["Element"], depth: int) -> Iterator[Tuple[array, ...]]:
+        """For n = 0..depth, each word's permutation of level n, as an array
+        whose entry r is the rank of the image of the vertex of rank r (ranks
+        follow :meth:`vertices`).  The arrays are shared; do not mutate them.
+
+        A letter's permutation of level n follows from its step row and its
+        sections' permutations of level n - 1: rank(i w) is
+        (i - 1) d^(n-1) + rank(w).  Level n compiles only the letters within
+        depth - n section steps of the words, and each level is checked
+        against VERTEX_CAP before it is built.
+        """
+        d, step = self.degree, self._step
+        dist = dict.fromkeys((x for w in words for x in w.letters), 0)  # section steps
+        frontier = list(dist)
+        for k in range(1, depth + 1):
+            reached = (s for x in frontier for s in step[x][1] if s is not None and s not in dist)
+            frontier = list(dict.fromkeys(reached))
+            dist.update(dict.fromkeys(frontier, k))
+        ident = array("i", (0,))
+        perms = dict.fromkeys(dist, ident)
+        for n in range(depth + 1):
+            if n:
+                self._check_level(n)
+                size, ident = len(ident), array("i", range(d * len(ident)))
+                below, perms = perms, {}
+                for x, k in dist.items():
+                    if k <= depth - n:
+                        perm = perms[x] = array("i")
+                        for j, s in zip(*step[x]):
+                            offset = (j - 1) * size
+                            if s is None:
+                                perm += ident[offset : offset + size]
+                            else:
+                                perm.fromlist([offset + r for r in below[s]])
+            yield tuple(self._compose(perms, w.letters, ident) for w in words)
+
+    @staticmethod
+    def _compose(perms: "dict[Letter, array]", letters: Tuple[Letter, ...], ident: array) -> array:
+        """The permutation of a word: its letters' permutations, right to left."""
+        if not letters:
+            return ident
+        out = perms[letters[-1]]
+        for x in reversed(letters[:-1]):
+            out = array("i", map(perms[x].__getitem__, out))
+        return out
+
+    def level_perm(self, words: Sequence["Element"], level: int) -> Tuple[array, ...]:
+        """Each word's permutation of level `level` alone (see :meth:`level_perms`)."""
+        self._check_level(level)  # so that a refusal names `level`, not the first level over the cap
+        for perms in self.level_perms(words, level):
+            pass
+        return perms
 
     # -- misc -------------------------------------------------------------
 

@@ -44,6 +44,12 @@ PORTRAIT_LEAF_CAP = 4096  # binary depth 12, ternary depth 7; desk scale
 BALL_CAP = 500_000  # elements in one Cayley ball
 ORDER_BOUND_CAP = 16_384  # powers tried by `order`
 ACTIVITY_LEVELS_CAP = 4096  # levels counted by `activity_sequence`
+CLOSURE_CAP = 100_000  # section words in one closure, or reached by one `is_trivial`
+
+
+def _closure_full(size: int) -> None:
+    if size > CLOSURE_CAP:
+        raise BoundExceeded(f"section closure exceeded {CLOSURE_CAP} nodes")
 
 
 def is_trivial(g: Element) -> bool:
@@ -59,6 +65,7 @@ def is_trivial(g: Element) -> bool:
             if s.letters and s.letters not in seen:
                 seen.add(s.letters)
                 queue.append(s)
+                _closure_full(len(seen))
     return True
 
 
@@ -96,6 +103,7 @@ def _syntactic_closure(g: Element):
                 j = len(nodes)
                 index[child.letters] = j
                 nodes.append(child)
+                _closure_full(len(nodes))
             row.append(j)
         images.append(cs.perm.image)
         edges.append(tuple(row))

@@ -44,6 +44,7 @@ __all__ = [
     "embed_element",
     "fixes_level",
     "is_supported_only_at",
+    "moved_vertex",
     "orbit_chain",
     "orbits",
     "projection_gens",
@@ -156,37 +157,39 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
         raise BoundExceeded(f"depth {depth} exceeds cap {ORBIT_DEPTH_CAP}")
     group = gens.group
     levels = [OrbitLevel(0, (((),),), ())]
-    prev_assigned: Dict[Vertex, int] = {(): 0}
-    for n in range(1, depth + 1):
+    prev_assigned = [0]  # orbit index per rank of the previous level
+    for n, perms in enumerate(group.level_perms(gens.elements, depth)):
+        if not n:
+            continue
         verts = list(group.vertices(n))
-        assigned: Dict[Vertex, int] = {}
+        assigned = [-1] * len(verts)
         blocks: List[Tuple[Vertex, ...]] = []
-        for seed in verts:
-            if seed in assigned:
+        parent = []
+        for seed in range(len(verts)):
+            if assigned[seed] >= 0:
                 continue
             idx = len(blocks)
             frontier = [seed]
             assigned[seed] = idx
             members = [seed]
             while frontier:
-                v = frontier.pop()
-                for s in gens.elements:
-                    w = s.act(v)
-                    if w not in assigned:
+                r = frontier.pop()
+                for perm in perms:
+                    w = perm[r]
+                    if assigned[w] < 0:
                         assigned[w] = idx
                         members.append(w)
                         frontier.append(w)
-            blocks.append(tuple(sorted(members)))
-        prev = levels[n - 1]
-        parent = []
-        for block in blocks:
-            parents = {prev_assigned[v[:-1]] for v in block}
+            members.sort()
+            blocks.append(tuple(map(verts.__getitem__, members)))
+            # the parent of the vertex of rank r has rank r // d
+            parents = {prev_assigned[r // group.degree] for r in members}
             if len(parents) != 1:
                 raise EngineError(
-                    f"orbit parent map ill-defined at level {n} (block {block[0]})"
+                    f"orbit parent map ill-defined at level {n} (block {blocks[-1][0]})"
                 )
             parent.append(parents.pop())
-        if set(parent) != set(range(prev.count)):
+        if set(parent) != set(range(levels[n - 1].count)):
             raise EngineError(f"orbit parent map not surjective at level {n}")
         levels.append(OrbitLevel(n, tuple(blocks), tuple(parent)))
         prev_assigned = assigned
@@ -257,10 +260,10 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     if level < 0:
         raise BadArgument(f"level must be nonnegative, got {level}")
     verts = tuple(gens.group.vertices(level))
-    rank = {v: i for i, v in enumerate(verts)}
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
-    image = {s: tuple(rank[s.act(v)] for v in verts).__getitem__ for s in gens.elements}
-    base = tuple(rank.values())  # the identity configuration
+    perms = gens.group.level_perm(gens.elements, level)
+    image = {s: perm.__getitem__ for s, perm in zip(gens.elements, perms)}
+    base = tuple(range(len(verts)))  # the identity configuration
     transversal, raw, _ = _schreier(gens, base, lambda s, c: tuple(map(image[s], c)))
     transversal = tuple((tuple(map(verts.__getitem__, c)), t) for c, t in transversal)
     generators = tuple(_dedupe_gens(gens.group, raw).values())
@@ -295,8 +298,15 @@ def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
 # -- rigid stabilizer witnesses --------------------------------------------------
 
 
+def moved_vertex(g: Element, level: int) -> Optional[Vertex]:
+    """The least vertex of the given level that `g` moves, or None."""
+    perm, = g.group.level_perm((g,), level)
+    moved = next((r for r, image in enumerate(perm) if image != r), None)
+    return None if moved is None else list(g.group.vertices(level))[moved]
+
+
 def fixes_level(g: Element, level: int) -> bool:
-    return all(g.act(v) == v for v in g.group.vertices(level))
+    return moved_vertex(g, level) is None
 
 
 def is_supported_only_at(g: Element, vertex: Union[str, Vertex]) -> bool:

@@ -11,16 +11,20 @@ So are `schreier_reference`, `dedupe_reference` and `first_per_key`: the
 word-based Schreier transversal and generator dedupe that the id-based
 `subgroups._schreier` replaced.  `word_letters_reference` and
 `parse_word_reference` are the token-list word parser that the one-scan
-`agroups.words` replaced, kept as it was.
+`agroups.words` replaced, kept as it was.  `orbits_reference` and
+`schreier_dot_reference` are the one-`act`-per-vertex loops that the
+compiled level permutations of `GroupDef.level_perms` replaced.
 """
 
 import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from agroups import decide
-from agroups.core import MAX_DIGITS, BadArgument, Element, GroupDef, Letter, Perm, WreathCoords
-from agroups.core import UnknownGenerator, _clip, _push, _shown
-from agroups.subgroups import GenSet, is_supported_only_at
+from agroups.cli import _quote
+from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
+from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _push, _shown
+from agroups.core import format_vertex
+from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, is_supported_only_at
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError
 
 
@@ -111,6 +115,71 @@ def orbit_images_bruteforce(gens, v, steps):
             break
         images |= new
     return images
+
+
+def orbits_reference(gens: GenSet, depth: int) -> OrbitTable:
+    """Exact orbit partition of every level up to `depth` under the gens.
+
+    Each generator permutes the finite level set, so forward closure under
+    the generators alone already yields the full group orbits.
+    """
+    if depth < 1:
+        raise BadArgument(f"depth must be at least 1, got {depth}")
+    if depth > ORBIT_DEPTH_CAP:
+        raise BoundExceeded(f"depth {depth} exceeds cap {ORBIT_DEPTH_CAP}")
+    group = gens.group
+    levels = [OrbitLevel(0, (((),),), ())]
+    prev_assigned: Dict[Vertex, int] = {(): 0}
+    for n in range(1, depth + 1):
+        verts = list(group.vertices(n))
+        assigned: Dict[Vertex, int] = {}
+        blocks: List[Tuple[Vertex, ...]] = []
+        for seed in verts:
+            if seed in assigned:
+                continue
+            idx = len(blocks)
+            frontier = [seed]
+            assigned[seed] = idx
+            members = [seed]
+            while frontier:
+                v = frontier.pop()
+                for s in gens.elements:
+                    w = s.act(v)
+                    if w not in assigned:
+                        assigned[w] = idx
+                        members.append(w)
+                        frontier.append(w)
+            blocks.append(tuple(sorted(members)))
+        prev = levels[n - 1]
+        parent = []
+        for block in blocks:
+            parents = {prev_assigned[v[:-1]] for v in block}
+            if len(parents) != 1:
+                raise EngineError(
+                    f"orbit parent map ill-defined at level {n} (block {block[0]})"
+                )
+            parent.append(parents.pop())
+        if set(parent) != set(range(prev.count)):
+            raise EngineError(f"orbit parent map not surjective at level {n}")
+        levels.append(OrbitLevel(n, tuple(blocks), tuple(parent)))
+        prev_assigned = assigned
+    return OrbitTable(gens, depth, tuple(levels))
+
+
+def schreier_dot_reference(table: OrbitTable, level: int) -> str:
+    lines = [f"digraph schreier_level_{level} {{", "  node [shape=circle];"]
+    verts = [v for block in table.level(level).blocks for v in block]
+    for v in sorted(verts):
+        lines.append(f"  {_quote(format_vertex(v))};")
+    for name, elem in table.gens.items():
+        for v in sorted(verts):
+            w = elem.act(v)
+            lines.append(
+                f"  {_quote(format_vertex(v))} -> {_quote(format_vertex(w))}"
+                f" [label={_quote(name)}];"
+            )
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def pairwise_ball_sizes(gens, radius):

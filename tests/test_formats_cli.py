@@ -4,6 +4,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from agroups import corpus
 from agroups.cli import main
 from agroups.core import VERTEX_CAP, EmptyGroup, EngineError
+from agroups.decide import CLOSURE_CAP
 from agroups.formats import (
     format_group_file,
     parse_certificate,
@@ -420,6 +422,33 @@ def test_level_stabilizer_transversal_is_bounded(tmp_path):
         "    raise SystemExit(2)\n"
     )
     assert _limited(["-c", script], tmp_path) == (2, "")
+
+
+def test_level_action_compiles_only_reached_letters(tmp_path):
+    # a 2,047-state binary-tree automaton: s_i = (s_2i+1, s_2i+2) (1 2), the leaves' slots trivial;
+    # one act per vertex took about a minute for each call below
+    n = 2047
+    rows = (f"gen s{i} = ({', '.join(f's{j}' if j < n else '1' for j in (2 * i + 1, 2 * i + 2))}) (1 2)"
+            for i in range(n))
+    (tmp_path / "tree.agt").write_text("group tree\nalphabet 2\n" + "\n".join(rows) + "\n")
+    (tmp_path / "tree.cert").write_text("suite s\ntransitive 12\nin_level_stab 16 : s0\n")
+    for argv, want in (
+        (["orbits", "--group", "tree.agt", "--depth", "12"], 0),
+        (["certify", "--group", "tree.agt", "--suite", "tree.cert"], 1),  # both assertions fail
+    ):
+        start = time.monotonic()
+        assert _limited(["-m", "agroups.cli", *argv], tmp_path) == (want, "")
+        assert time.monotonic() - start < 30, argv
+
+
+def test_section_closure_is_bounded(tmp_path):
+    # a positive 13-letter Aleshin word has a closure of 3^13 = 1,594,323 section words
+    aleshin = str(Path(__file__).with_name("aleshin.agt"))
+    start = time.monotonic()
+    code, err = _limited(["-m", "agroups.cli", "closure", "--group", aleshin, "--word",
+                          "c a b b c a b a c a b b a"], tmp_path)
+    assert code == 2 and err == f"agt: error: section closure exceeded {CLOSURE_CAP} nodes\n", err
+    assert time.monotonic() - start < 20
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -3,6 +3,8 @@ from random import Random
 import pytest
 
 from agroups import decide, subgroups
+from agroups.certify import InLevelStab
+from agroups.cli import schreier_dot
 from agroups.subgroups import (
     GenSet,
     NotLevelFixing,
@@ -11,6 +13,7 @@ from agroups.subgroups import (
     commutator_witness,
     embed_element,
     embedded_group,
+    fixes_level,
     is_supported_only_at,
     orbit_chain,
     orbits,
@@ -19,14 +22,16 @@ from agroups.subgroups import (
     stabilizer_gens,
     vertex_stabilizer_gens,
 )
-from agroups.core import BoundExceeded, Element, EngineError
+from agroups.core import BoundExceeded, Element, EngineError, format_vertex
 from agroups.words import parse_word
 
 from oracles import (
     dedupe_reference,
     first_per_key,
     orbit_images_bruteforce,
+    orbits_reference,
     rist_reference,
+    schreier_dot_reference,
     schreier_reference,
 )
 import property_checks as pc
@@ -69,6 +74,46 @@ def test_orbits_match_bruteforce_images(grig, bas):
         block = lv.blocks[lv.block_of(v)]
         images = orbit_images_bruteforce(gens, v, 2 ** len(v))
         assert set(block) == images
+
+
+def test_level_action_matches_act_reference(grig, bas, odo, rot3, monkeypatch):
+    # every level-wide caller reads compiled rank permutations; one act per vertex is the reference
+    rng = Random(53)
+    for case in range(160):
+        group = rng.choice([grig, bas, odo, rot3])
+        words = [str(pc.random_word(group, rng, 6)) for _ in range(rng.randint(1, 4))]
+        words += rng.sample(["1", words[0], *group.state_names], rng.randint(0, 2))
+        rng.shuffle(words)
+        gens = GenSet.from_elements([parse_word(w, group) for w in words], words)
+        depth = rng.randint(1, 8 if group.degree == 2 else 5)
+        table = orbits(gens, depth)
+        assert table == orbits_reference(gens, depth)
+        level = rng.randint(0, depth)
+        assert schreier_dot(table, level) == schreier_dot_reference(table, level)
+        verts = list(group.vertices(level))
+        for w, g in gens.items():
+            moved = [v for v in verts if g.act(v) != v]
+            assert fixes_level(g, level) == (not moved)
+            detail = f"{w} moves {format_vertex(moved[0]) if moved else ''}"
+            assert InLevelStab(level, w).evaluate(group).detail == ("" if not moved else detail)
+        if level <= 2 and case % 4 == 0:
+            st = stabilizer_gens(gens, level)
+            transversal, raw = schreier_reference(gens, tuple(verts), lambda s, c: tuple(map(s.act, c)))
+            assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
+            assert list(map(str, st.generators)) == list(map(str, dedupe_reference(group, raw)))
+        vertex = pc.random_vertex(group, rng, 2)
+        chain_depth = rng.randint(1, depth)
+        try:
+            got = orbit_chain(gens, vertex, chain_depth)
+        except NotVertexFixing as exc:
+            got = str(exc)
+        with monkeypatch.context() as m:
+            m.setattr(subgroups, "orbits", orbits_reference)
+            try:
+                want = orbit_chain(gens, vertex, chain_depth)
+            except NotVertexFixing as exc:
+                want = str(exc)
+        assert got == want
 
 
 def test_orbits_depth_cap(grig):
