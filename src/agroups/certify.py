@@ -19,7 +19,7 @@ from itertools import product, repeat
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BadArgument, Element, EngineError, GroupDef, Perm
+from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
 from .core import _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
@@ -335,7 +335,8 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
 
     Words are enumerated in length-then-lexicographic generator order and
     deduplicated by interned id; the first collision (if any) is reported
-    as (earlier word, later word).
+    as (earlier word, later word).  Raises BoundExceeded before a length
+    whose new words would bring the ids held past `decide.BALL_CAP`.
     """
     if maxlen < 1:
         raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
@@ -345,6 +346,10 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     collision = None
     level, total = [0], 0
     for length in range(1, maxlen + 1):
+        if len(first) + len(level) * len(letters) > decide.BALL_CAP:
+            raise BoundExceeded(
+                f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
+            )
         # one id per word in product() order until the first collision; after
         # it one per distinct id, as equal words have equal extensions
         level = [table.mul(p, s) for p in level for s in letters]

@@ -17,6 +17,9 @@ The product loops (`order` here, `ball_sizes` and `free_semigroup_check` in
 :mod:`agroups.certify`), `rist_elements` and the Schreier generators of
 :mod:`agroups.subgroups` multiply ids of minimized automaton states, in a
 table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys.
+A product is found by one row lookup when the products of its sections are
+already known; otherwise a walk over its section pairs settles the pairs
+whose sections have ids, and `_cycles` refines the pairs left on a cycle.
 """
 
 from __future__ import annotations
@@ -209,7 +212,10 @@ class _InternTable:
     """Minimized automaton states of one group: id x has root image
     ``images[x]`` and section ``kids[x][k-1]`` at letter k; 0 is the identity.
     No two ids denote the same automorphism, so a state whose sections have
-    ids is found by its row; only states on cycles need refinement and keys."""
+    ids is found by its row.  `mul` finds a product by one row lookup when
+    each section product is trivial or memoized; otherwise it walks the
+    section pairs, and `_absorb` looks up each pair whose sections got ids.
+    Only states on cycles go to `_cycles`, for refinement and keys."""
 
     def __init__(self, group):
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
@@ -217,33 +223,54 @@ class _InternTable:
         self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
         self._keys: Dict[tuple, int] = {(row,): 0}  # 0 and the slow path's ids, by key
         self._products: Dict[Tuple[int, int], int] = {}
-        self.slow = 0
+        self.walks = self.slow = 0
 
     def intern(self, g: Element) -> int:
         rows = canonical_key(g)
         return self._absorb([image for image, _ in rows], [kids for _, kids in rows])[0]
 
     def mul(self, p: int, q: int) -> int:
-        """The id of ``p * q`` (q acts first), memoized on ``(p, q)``."""
-        if not p or not q or (p, q) in self._products:
-            return self._products.get((p, q), p or q)
-        images, kids = self.images, self.kids
+        """The id of ``p * q`` (q acts first), memoized on ``(p, q)``.  When
+        every section pair is trivial or memoized, one row lookup finds it."""
+        if not p or not q:
+            return p or q
+        products = self._products
+        x = products.get((p, q))
+        if x is not None:
+            return x
+        images, kids_p, row = self.images, self.kids[p], []
+        for j, b in zip(images[q], self.kids[q]):
+            a = kids_p[j - 1]
+            x = products.get((a, b)) if a and b else a or b
+            if x is None:
+                return self._walk(p, q)
+            row.append(x)
+        image = images[p]
+        x = products[p, q] = self._state(tuple([image[j - 1] for j in images[q]]), tuple(row))
+        return x
+
+    def _walk(self, p: int, q: int) -> int:
+        """`mul` for a pair with an unknown section product: a breadth-first
+        walk over the section pairs, then `_absorb`."""
+        self.walks += 1
+        images, kids, products = self.images, self.kids, self._products
         pairs, index, new_images, refs = [(p, q)], {(p, q): 0}, [], []
-        for a, b in pairs:  # the list grows while it is walked
-            new_images.append(tuple(images[a][j - 1] for j in images[b]))
+        for x, y in pairs:  # the list grows while it is walked
+            new_images.append(tuple(images[x][j - 1] for j in images[y]))
             row = []
-            for j, kid in zip(images[b], kids[b]):
-                pair = (kids[a][j - 1], kid)
-                if not pair[0] or not pair[1] or pair in self._products:
-                    row.append(~self.mul(*pair))
+            for j, b in zip(images[y], kids[y]):
+                a = kids[x][j - 1]
+                z = products.get((a, b)) if a and b else a or b
+                if z is not None:
+                    row.append(~z)
                     continue
-                if pair not in index:
-                    index[pair] = len(pairs)
-                    pairs.append(pair)
-                row.append(index[pair])
+                if (a, b) not in index:
+                    index[a, b] = len(pairs)
+                    pairs.append((a, b))
+                row.append(index[a, b])
             refs.append(tuple(row))
-        self._products.update(zip(pairs, self._absorb(new_images, refs)))
-        return self._products[(p, q)]
+        products.update(zip(pairs, self._absorb(new_images, refs)))
+        return products[(p, q)]
 
     def spheres(self, letters: List[int], radius: int, cap: int = BALL_CAP):
         """Yield spheres 1..radius of the Cayley graph on the ids `letters`:
@@ -268,8 +295,8 @@ class _InternTable:
         import logging  # here, so that importing the package does not load it
 
         logging.getLogger("agroups").debug(
-            "%s: %d states, %d memoized products, %d slow paths",
-            job, len(self.images), len(self._products), self.slow,
+            "%s: %d states, %d memoized products, %d walks, %d slow paths",
+            job, len(self.images), len(self._products), self.walks, self.slow,
         )
 
     def _absorb(self, images, refs) -> List[int]:
@@ -284,14 +311,19 @@ class _InternTable:
                 if None in kids:
                     left.append(i)
                     continue
-                if (images[i], kids) not in self._ids:
-                    self._ids[(images[i], kids)] = len(self.images)
-                    self.images.append(images[i])
-                    self.kids.append(kids)
-                ids[i] = self._ids[(images[i], kids)]
+                ids[i] = self._state(images[i], kids)
             if len(left) == len(todo):
                 left = self._cycles(images, refs, ids, left)
         return [ids[i] for i in range(len(images))]
+
+    def _state(self, image: Tuple[int, ...], kids: Tuple[int, ...]) -> int:
+        """The id of the state with this row, appended if it is new."""
+        x = self._ids.get((image, kids))
+        if x is None:
+            x = self._ids[(image, kids)] = len(self.images)
+            self.images.append(image)
+            self.kids.append(kids)
+        return x
 
     def _cycles(self, images, refs, ids, left) -> list:
         """Refine the new states `left` with the ids they reach.  A class

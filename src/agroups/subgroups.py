@@ -161,6 +161,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
     for n, perms in enumerate(group.level_perms(gens.elements, depth)):
         if not n:
             continue
+        perms = list({perm.tobytes(): perm for perm in perms}.values())  # equal actions once
         verts = list(group.vertices(n))
         assigned = [-1] * len(verts)
         blocks: List[Tuple[Vertex, ...]] = []

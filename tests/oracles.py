@@ -14,6 +14,9 @@ word-based Schreier transversal and generator dedupe that the id-based
 `agroups.words` replaced, kept as it was.  `orbits_reference` and
 `schreier_dot_reference` are the one-`act`-per-vertex loops that the
 compiled level permutations of `GroupDef.level_perms` replaced.
+`InternTableReference` is the intern table whose `mul` walks the section
+pairs of every product, recursing into the memoized ones, as it did before
+the one-row lookup of `decide._InternTable.mul`.
 """
 
 import re
@@ -432,3 +435,47 @@ def parse_word_reference(text: str, group: GroupDef) -> Element:
                 f"no generator named {_shown(name)} in group {_shown(group.name)}"
             )
     return group.element(letters)
+
+
+class InternTableReference(decide._InternTable):
+    """`decide._InternTable` with its earlier `mul` and `_absorb`, kept as they were."""
+
+    def mul(self, p: int, q: int) -> int:
+        if not p or not q or (p, q) in self._products:
+            return self._products.get((p, q), p or q)
+        images, kids = self.images, self.kids
+        pairs, index, new_images, refs = [(p, q)], {(p, q): 0}, [], []
+        for a, b in pairs:  # the list grows while it is walked
+            new_images.append(tuple(images[a][j - 1] for j in images[b]))
+            row = []
+            for j, kid in zip(images[b], kids[b]):
+                pair = (kids[a][j - 1], kid)
+                if not pair[0] or not pair[1] or pair in self._products:
+                    row.append(~self.mul(*pair))
+                    continue
+                if pair not in index:
+                    index[pair] = len(pairs)
+                    pairs.append(pair)
+                row.append(index[pair])
+            refs.append(tuple(row))
+        self._products.update(zip(pairs, self._absorb(new_images, refs)))
+        return self._products[(p, q)]
+
+    def _absorb(self, images, refs) -> List[int]:
+        ids: Dict[int, int] = {}
+        left = list(range(len(images) - 1, -1, -1))  # sections tend to come later
+        while left:
+            todo, left = left, []
+            for i in todo:
+                kids = tuple(~r if r < 0 else ids.get(r) for r in refs[i])
+                if None in kids:
+                    left.append(i)
+                    continue
+                if (images[i], kids) not in self._ids:
+                    self._ids[(images[i], kids)] = len(self.images)
+                    self.images.append(images[i])
+                    self.kids.append(kids)
+                ids[i] = self._ids[(images[i], kids)]
+            if len(left) == len(todo):
+                left = self._cycles(images, refs, ids, left)
+        return [ids[i] for i in range(len(images))]

@@ -160,3 +160,12 @@ def test_product_loops_log_their_table(grig, caplog):
     jobs = [r.getMessage().split(":")[0] for r in caplog.records]
     assert jobs == ["ball_sizes", "free_semigroup_check", "order", "rist_elements"]
     assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)
+
+
+def test_ball_log_counts_walks(grig, caplog):
+    # 40 states, as the ball holds 40 elements; only 3 products needed the walk
+    with caplog.at_level(logging.DEBUG, logger="agroups"):
+        assert ball_sizes(GenSet.from_group(grig), 4) == (1, 5, 11, 23, 40)
+    assert [r.getMessage() for r in caplog.records] == [
+        "ball_sizes: 40 states, 88 memoized products, 3 walks, 12 slow paths"
+    ]

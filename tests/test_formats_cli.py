@@ -12,7 +12,7 @@ import pytest
 from agroups import corpus
 from agroups.cli import main
 from agroups.core import VERTEX_CAP, EmptyGroup, EngineError
-from agroups.decide import CLOSURE_CAP
+from agroups.decide import BALL_CAP, CLOSURE_CAP
 from agroups.formats import (
     format_group_file,
     parse_certificate,
@@ -449,6 +449,17 @@ def test_section_closure_is_bounded(tmp_path):
                           "c a b b c a b a c a b b a"], tmp_path)
     assert code == 2 and err == f"agt: error: section closure exceeded {CLOSURE_CAP} nodes\n", err
     assert time.monotonic() - start < 20
+
+
+def test_free_semigroup_words_are_bounded(tmp_path):
+    # basilica's positive words are distinct, 2^maxlen of them at length maxlen; up to
+    # length 18 they would be 524,286 ids. It used to raise MemoryError under 1 GiB.
+    start = time.monotonic()
+    code, err = _limited(["-m", "agroups.cli", "freesemigroup", *B, "--maxlen", "40"], tmp_path)
+    assert code == 2 and err == (
+        f"agt: error: free semigroup words exceeded {BALL_CAP} ids at length 18\n"
+    ), err
+    assert time.monotonic() - start < 30
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -1,13 +1,14 @@
 """Randomized invariant suites at a quick, everyday scale; the acceptance
 module reruns them at full case counts."""
 
+from pathlib import Path
 from random import Random
 
-from agroups import decide
+from agroups import decide, formats
 from agroups.words import parse_word
 
 import property_checks as pc
-from oracles import coords_reference, fixes_all_vertices, walk_reference
+from oracles import InternTableReference, coords_reference, fixes_all_vertices, walk_reference
 
 
 def test_coordinate_law(grig, bas, odo, rot3):
@@ -135,3 +136,46 @@ def test_intern_table_matches_canonical_keys(grig, bas, odo, rot3):
         assert table.mul(x, y) == table.intern(g * h)
     for table in tables.values():
         assert len({key_of(table, x) for x in range(len(table.images))}) == len(table.images)
+
+
+def _product_calls(table, group, rng, radius, wordlen, powers):
+    """The product loops' calls on `table`, drawn from `rng`; returns every id they give."""
+    gens = [group.generator(name) for name in group.state_names]
+    steps = [(table.intern(s), table.intern(s.inverse())) for s in gens]
+    out = [h for sphere in table.spheres([x for step in steps for x in step], radius)
+           for h, _, _ in sphere]
+    level = [0]  # free-semigroup levels
+    for _ in range(radius):
+        level = list(dict.fromkeys(table.mul(p, sid) for p in level for sid, _ in steps))
+        out += level
+    for _ in range(4):  # Schreier-style chains: t_y = s t_x, t_y^-1 = t_x^-1 s^-1
+        tid = tinv = 0
+        for _ in range(radius):
+            sid, sinv = rng.choice(steps)
+            tid, tinv = table.mul(sid, tid), table.mul(tinv, sinv)
+            out += [tid, tinv, table.mul(tinv, tid)]
+    for _ in range(4):  # powers, as `order` takes them
+        x = table.intern(pc.random_word(group, rng, wordlen))
+        power = x
+        for _ in range(powers):
+            power = table.mul(power, x)
+            out.append(power)
+    for _ in range(20):
+        x, y = (table.intern(pc.random_word(group, rng, wordlen)) for _ in "xy")
+        out += [x, y, table.mul(x, y), table.mul(y, x)]
+    return out
+
+
+def test_intern_table_fast_path_matches_walk(grig, bas, odo, rot3):
+    # the one-row lookup appends the same states in the same order as the walk
+    aleshin = formats.load_group_file(Path(__file__).with_name("aleshin.agt"))
+    # Aleshin's group is free: a word of length n has 3^n states, so its sizes stay small
+    cases = ((grig, (6, 12, 12)), (bas, (6, 12, 12)), (odo, (6, 12, 12)), (rot3, (4, 8, 8)),
+             (aleshin, (3, 2, 1)))  # (radius, word length, powers)
+    for group, sizes in cases:
+        fast, walk = decide._InternTable(group), InternTableReference(group)
+        ids = [_product_calls(table, group, Random(f"{group.name} products"), *sizes)
+               for table in (fast, walk)]
+        assert ids[0] == ids[1], group.name
+        assert (fast.images, fast.kids, fast._products) == (walk.images, walk.kids, walk._products)
+        assert fast.walks, group.name  # the walk ran, next to the lookups
