@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product, repeat
+from string import Formatter
 from typing import Dict, List, Optional, Tuple
 
 from . import decide, subgroups
@@ -57,13 +58,35 @@ class CheckResult:
     detail: str = ""
 
 
+# How a part of a form is written where str() does not do; `formats` reads every part.
+_WRITE = {
+    "tuple": lambda words: f"({', '.join(words)})",
+    "cycles": lambda cycles: format_cycles(cycles or ()),  # None = identity
+}
+
+
 class Assertion:
-    """Base class; subclasses implement `evaluate` and `describe`."""
+    """Base class; subclasses set `kind` and `form` and implement `evaluate`.
+
+    `form` is the line after the keyword: ``{field}`` or ``{field:part}``
+    for each dataclass field in order (a word if no part is named), and the
+    text between them.  `describe` writes it and `formats.parse_certificate`
+    reads it, with the parts that `formats` lists."""
 
     kind = "assertion"
+    form = ""
+    layout = ()  # (text before, field, part) for each field of `form`
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.layout = tuple(
+            (text, name, part or "word") for text, name, part, _ in Formatter().parse(cls.form)
+        )
 
     def describe(self) -> str:
-        raise NotImplementedError
+        return self.kind + " " + "".join(
+            text + _WRITE.get(part, str)(getattr(self, name)) for text, name, part in self.layout
+        )
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         raise NotImplementedError
@@ -76,9 +99,7 @@ class Assertion:
 class Trivial(Assertion):
     word: str
     kind = "trivial"
-
-    def describe(self) -> str:
-        return f"trivial {self.word}"
+    form = "{word}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.word, group)
@@ -90,9 +111,7 @@ class Equal(Assertion):
     left: str
     right: str
     kind = "equal"
-
-    def describe(self) -> str:
-        return f"equal {self.left} = {self.right}"
+    form = "{left} = {right}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.left, group)
@@ -111,10 +130,7 @@ class CoordsIs(Assertion):
     slots: Tuple[str, ...]
     cycles: Optional[Tuple[Tuple[int, ...], ...]]  # None = identity
     kind = "coords"
-
-    def describe(self) -> str:
-        perm = format_cycles(self.cycles or ())
-        return f"coords {self.word} = ({', '.join(self.slots)}) {perm}"
+    form = "{word} = {slots:tuple} {cycles:cycles}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.word, group)
@@ -136,9 +152,7 @@ class InLevelStab(Assertion):
     level: int
     word: str
     kind = "in_level_stab"
-
-    def describe(self) -> str:
-        return f"in_level_stab {self.level} : {self.word}"
+    form = "{level:level} : {word}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         moved = subgroups.moved_vertex(parse_word(self.word, group), self.level)
@@ -153,9 +167,7 @@ class SupportedOnlyAt(Assertion):
     vertex: str
     word: str
     kind = "supported_only_at"
-
-    def describe(self) -> str:
-        return f"supported_only_at {self.vertex} : {self.word}"
+    form = "{vertex:vertex} : {word}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.word, group)
@@ -167,9 +179,7 @@ class SupportedOnlyAt(Assertion):
 class Transitive(Assertion):
     depth: int
     kind = "transitive"
-
-    def describe(self) -> str:
-        return f"transitive {self.depth}"
+    form = "{depth:depth}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         table = subgroups.orbits(GenSet.from_group(group), self.depth)
@@ -187,9 +197,7 @@ class ProjectionWitness(Assertion):
     stab_word: str
     target: str
     kind = "projection_witness"
-
-    def describe(self) -> str:
-        return f"projection_witness {self.vertex} : {self.stab_word} -> {self.target}"
+    form = "{vertex:vertex} : {stab_word} -> {target}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         u = parse_word(self.stab_word, group)
@@ -211,9 +219,7 @@ class MemberByExpression(Assertion):
     word: str
     expression: str
     kind = "member_by_expression"
-
-    def describe(self) -> str:
-        return f"member_by_expression {self.word} = {self.expression}"
+    form = "{word} = {expression}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         g = parse_word(self.word, group)
@@ -230,10 +236,7 @@ class DistinctPositiveWords(Assertion):
     maxlen: int
     expected: int
     kind = "distinct_positive_words"
-
-    def describe(self) -> str:
-        gens = ", ".join(self.gen_words)
-        return f"distinct_positive_words ({gens}) maxlen {self.maxlen} expect {self.expected}"
+    form = "{gen_words:tuple} maxlen {maxlen:count} expect {expected:count}"
 
     def evaluate(self, group: GroupDef) -> CheckResult:
         gens = GenSet.from_elements(

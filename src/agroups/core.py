@@ -298,13 +298,7 @@ class GroupDef:
     def vertex(self, v: Union[str, Sequence[int]]) -> Vertex:
         """Normalize a vertex given as a tuple or dot-separated text."""
         if isinstance(v, str):
-            text = v.strip()
-            if text in ("", "."):
-                return ()
-            parts = text.split(".")
-            if not all(_is_number(p) for p in parts):
-                raise BadVertex(f"malformed vertex {_shown(v)}")
-            v = tuple(int(p) for p in parts)
+            v = _parse_vertex(v) if v.strip() else ()
         v = tuple(v)
         for letter in v:
             if not 1 <= letter <= self.degree:
@@ -393,6 +387,16 @@ class GroupDef:
 
     def __repr__(self) -> str:
         return f"GroupDef({self.name!r}, degree={self.degree}, states={list(self._states)})"
+
+
+def _parse_vertex(text: str) -> Vertex:
+    """The letters of a vertex written as ``.`` or dot-separated numbers,
+    checked for syntax only; BadVertex otherwise."""
+    stripped = text.strip()
+    parts = stripped.split(".") if stripped != "." else []
+    if not all(_is_number(p) for p in parts):
+        raise BadVertex(f"malformed vertex {_shown(text)}")
+    return tuple(int(p) for p in parts)
 
 
 def format_vertex(v: Vertex) -> str:

@@ -221,6 +221,7 @@ class _InternTable:
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
         self.images, self.kids = [row[0]], [row[1]]
         self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
+        self._distinct_images = {row[0]: row[0]}  # one tuple per root image, shared by rows
         self._keys: Dict[tuple, int] = {(row,): 0}  # 0 and the slow path's ids, by key
         self._products: Dict[Tuple[int, int], int] = {}
         self.walks = self.slow = 0
@@ -320,6 +321,7 @@ class _InternTable:
         """The id of the state with this row, appended if it is new."""
         x = self._ids.get((image, kids))
         if x is None:
+            image = self._distinct_images.setdefault(image, image)
             x = self._ids[(image, kids)] = len(self.images)
             self.images.append(image)
             self.kids.append(kids)
@@ -359,9 +361,7 @@ class _InternTable:
         if not any(c in found for c in cls[:m]):
             found.update((c, len(self.images) + i) for i, c in enumerate(keys))
             for c, (n, key) in keys.items():
-                self.images.append(node_images[n])
-                self.kids.append(tuple(found[cls[j]] for j in edges[n]))
-                self._ids[(self.images[-1], self.kids[-1])] = self._keys[key] = found[c]
+                self._keys[key] = self._state(node_images[n], tuple(found[cls[j]] for j in edges[n]))
         ids.update((r, found[c]) for r, c in zip(left, cls) if c in found)
         return [r for r in left if r not in ids]
 

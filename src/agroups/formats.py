@@ -11,30 +11,21 @@ the letters 1..D, e.g. ``(1 2)``; omitted CYCLES means the identity.
 ``#`` starts a comment anywhere.
 
 Certificate files start with ``suite NAME`` and an optional ``group
-NAME`` line, followed by one assertion per line; see the keyword parsers
-below for the precise forms.
+NAME`` line, followed by one assertion per line: its ``kind`` keyword,
+then its ``form``, both declared on the assertion classes of
+:mod:`agroups.certify`.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
-from .certify import (
-    Assertion,
-    Certificate,
-    CoordsIs,
-    DistinctPositiveWords,
-    Equal,
-    InLevelStab,
-    MemberByExpression,
-    ProjectionWitness,
-    SupportedOnlyAt,
-    Transitive,
-    Trivial,
-)
-from .core import _NAME, _NAME_RE, EngineError, GroupDef, _clip, _is_number, _shown, make_group
+from .certify import Assertion, Certificate
+from .core import _NAME, _NAME_RE, BadVertex, EngineError, GroupDef, _clip, _is_number, _shown
+from .core import _parse_vertex, make_group
 from .words import ParseError, word_letters
 
 __all__ = [
@@ -45,13 +36,28 @@ __all__ = [
     "parse_group_file",
 ]
 
-_GEN_RE = re.compile(rf"gen\s+({_NAME})\s*=\s*(.+)\Z")
+_GEN_RE = re.compile(rf"({_NAME})\s*=\s*(.+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_VERTEX_RE = re.compile(r"(\.|[0-9]+(\.[0-9]+)*)\Z")
 
 
-def _strip(raw: str) -> str:
-    return raw.split("#", 1)[0].strip()
+def _lines(text: str) -> Iterator[Tuple[int, str, str]]:
+    """(line number, keyword, rest) of each line that is not blank or a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        split = raw.split("#", 1)[0].split(None, 1)
+        if split:
+            yield line_no, split[0], split[1].rstrip() if len(split) > 1 else ""
+
+
+def _header(header: dict, keyword: str, value, line_no: int) -> None:
+    if keyword in header:
+        raise ParseError(f"duplicate {keyword!r} line", line_no)
+    header[keyword] = value
+
+
+def _name(what: str, text: str, line_no: int) -> str:
+    if not _NAME_RE.match(text):
+        raise ParseError(f"invalid {what} name {_shown(text)}", line_no)
+    return text
 
 
 def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -70,7 +76,8 @@ def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ..
 
 
 def _parse_tuple_then_rest(text: str, line_no: int) -> Tuple[List[str], str]:
-    """Split ``( p1, p2, ... ) rest``; commas split only at tuple depth."""
+    """Split ``( p1, p2, ... ) rest``; commas split only at tuple depth, and
+    `rest` keeps the text after ``)`` as it is."""
     text = text.strip()
     if not text.startswith("("):
         raise ParseError("expected '(' starting a tuple", line_no)
@@ -101,39 +108,26 @@ def _parse_tuple_then_rest(text: str, line_no: int) -> Tuple[List[str], str]:
     if end is None:
         raise ParseError("unbalanced '(' in tuple", line_no)
     parts.append("".join(cur).strip())
-    return parts, text[end + 1 :].strip()
+    return parts, text[end + 1 :]
 
 
 # -- group files -----------------------------------------------------------
 
 
 def parse_group_file(text: str) -> GroupDef:
-    name: Optional[str] = None
-    degree: Optional[int] = None
+    header: dict = {}
     rows: List[tuple] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        keyword = line.split(None, 1)[0]
+    for line_no, keyword, rest in _lines(text):
         if keyword == "group":
-            value = line[len("group") :].strip()
-            if not _NAME_RE.match(value):
-                raise ParseError(f"invalid group name {_shown(value)}", line_no)
-            if name is not None:
-                raise ParseError("duplicate 'group' line", line_no)
-            name = value
+            _header(header, keyword, _name("group", rest, line_no), line_no)
         elif keyword == "alphabet":
-            value = line[len("alphabet") :].strip()
-            if not _is_number(value) or int(value) < 1:
-                raise ParseError(f"invalid alphabet size {_shown(value)}", line_no)
-            if degree is not None:
-                raise ParseError("duplicate 'alphabet' line", line_no)
-            degree = int(value)
+            if not _is_number(rest) or int(rest) < 1:
+                raise ParseError(f"invalid alphabet size {_shown(rest)}", line_no)
+            _header(header, keyword, int(rest), line_no)
         elif keyword == "gen":
-            if name is None or degree is None:
+            if not {"group", "alphabet"} <= header.keys():
                 raise ParseError("'gen' before 'group' and 'alphabet'", line_no)
-            m = _GEN_RE.match(line)
+            m = _GEN_RE.match(rest)
             if m is None:
                 raise ParseError("malformed 'gen' line", line_no)
             gen_name, rest = m.group(1), m.group(2)
@@ -145,11 +139,10 @@ def parse_group_file(text: str) -> GroupDef:
             rows.append((gen_name, tuple(slots), cycles))
         else:
             raise ParseError(f"unknown keyword {_shown(keyword)}", line_no)
-    if name is None:
-        raise ParseError("missing 'group' line")
-    if degree is None:
-        raise ParseError("missing 'alphabet' line")
-    return make_group(degree, rows, name=name)
+    for keyword in ("group", "alphabet"):
+        if keyword not in header:
+            raise ParseError(f"missing {keyword!r} line")
+    return make_group(header["alphabet"], rows, name=header["group"])
 
 
 def format_group_file(group: GroupDef) -> str:
@@ -181,114 +174,87 @@ def load_group_file(path) -> GroupDef:
 
 
 def _check_word(text: str, line_no: int) -> str:
+    text = text.strip()
     word_letters(text, line_no)  # syntax only; names resolve at run time
-    return text.strip()
+    return text
 
 
 def _check_vertex(text: str, line_no: int) -> str:
     text = text.strip()
-    if not _VERTEX_RE.match(text):
-        raise ParseError(f"malformed vertex {_shown(text)}", line_no)
+    try:
+        _parse_vertex(text)  # syntax only; letters are checked against the alphabet at run time
+    except BadVertex as exc:
+        raise ParseError(str(exc), line_no) from None
     return text
 
 
-def _split_once(rest: str, sep: str, line_no: int) -> Tuple[str, str]:
-    if sep not in rest:
-        raise ParseError(f"expected {sep!r}", line_no)
-    left, right = rest.split(sep, 1)
-    return left.strip(), right.strip()
+def _number(part: str, floor: int, text: str, line_no: int) -> int:
+    text = text.strip()
+    if not _is_number(text) or int(text) < floor:
+        raise ParseError(f"invalid {part} {_shown(text)}", line_no)
+    return int(text)
 
 
-_DISTINCT_RE = re.compile(r"\(([^()]*)\)\s+maxlen\s+([0-9]+)\s+expect\s+([0-9]+)\Z")
+# How each part of an assertion's form is read: a word unless named; a
+# vertex is ``.`` or dot-separated letters; a tuple arrives as its entries.
+_READ = {
+    "word": _check_word,
+    "vertex": _check_vertex,
+    "level": partial(_number, "level", 0),
+    "depth": partial(_number, "depth", 1),
+    "count": partial(_number, "count", 0),
+    "tuple": lambda entries, line_no: tuple(_check_word(e, line_no) for e in entries),
+    "cycles": _parse_cycles,
+}
+
+
+def _form(cls) -> List[tuple]:
+    """(part, separator after it, its pattern) for each field of `cls.form`.
+    A symbol separator is found anywhere, a word one only between
+    whitespace; a field with no separator after it runs to the end of the
+    line, unless it is a tuple, which ends at its ``)``."""
+    form = []
+    after = [text.strip() for text, _, _ in cls.layout[1:]] + [""]
+    for (_, _, part), sep in zip(cls.layout, after):
+        pattern = rf"(?<=\s){sep}(?=\s)" if sep.isalpha() else re.escape(sep)
+        form.append((part, sep, re.compile(pattern) if sep else None))
+    return form
+
+
+_FORMS = {cls.kind: (cls, _form(cls)) for cls in Assertion.__subclasses__()}
+
+
+def _read_assertion(cls, form: List[tuple], rest: str, line_no: int) -> Assertion:
+    fields = []  # every separator is found before any field is read
+    for part, sep, pattern in form:
+        if part == "tuple":
+            field, rest = _parse_tuple_then_rest(rest, line_no)
+        if pattern is not None:
+            m = pattern.search(rest)
+            if m is None or (part == "tuple" and rest[: m.start()].strip()):
+                raise ParseError(f"expected {sep!r}", line_no)
+            if part != "tuple":
+                field = rest[: m.start()]
+            rest = rest[m.end() :]
+        elif part != "tuple":
+            field = rest
+        fields.append(field)
+    return cls(*[_READ[part](field, line_no) for (part, _, _), field in zip(form, fields)])
 
 
 def parse_certificate(text: str) -> Certificate:
-    name: Optional[str] = None
-    group_name: Optional[str] = None
+    header: dict = {}
     assertions: List[Assertion] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        split = line.split(None, 1)
-        keyword, rest = split[0], (split[1].strip() if len(split) > 1 else "")
-        if keyword == "suite":
-            if not _NAME_RE.match(rest):
-                raise ParseError(f"invalid suite name {_shown(rest)}", line_no)
-            name = rest
-        elif keyword == "group":
-            if not _NAME_RE.match(rest):
-                raise ParseError(f"invalid group name {_shown(rest)}", line_no)
-            group_name = rest
-        elif keyword == "trivial":
-            assertions.append(Trivial(_check_word(rest, line_no)))
-        elif keyword == "equal":
-            left, right = _split_once(rest, "=", line_no)
-            assertions.append(
-                Equal(_check_word(left, line_no), _check_word(right, line_no))
-            )
-        elif keyword == "member_by_expression":
-            left, right = _split_once(rest, "=", line_no)
-            assertions.append(
-                MemberByExpression(
-                    _check_word(left, line_no), _check_word(right, line_no)
-                )
-            )
-        elif keyword == "coords":
-            left, right = _split_once(rest, "=", line_no)
-            slots, tail = _parse_tuple_then_rest(right, line_no)
-            assertions.append(
-                CoordsIs(
-                    _check_word(left, line_no),
-                    tuple(_check_word(s, line_no) for s in slots),
-                    _parse_cycles(tail, line_no),
-                )
-            )
-        elif keyword == "in_level_stab":
-            level, word = _split_once(rest, ":", line_no)
-            if not _is_number(level):
-                raise ParseError(f"invalid level {_shown(level)}", line_no)
-            assertions.append(InLevelStab(int(level), _check_word(word, line_no)))
-        elif keyword == "supported_only_at":
-            vertex, word = _split_once(rest, ":", line_no)
-            assertions.append(
-                SupportedOnlyAt(
-                    _check_vertex(vertex, line_no), _check_word(word, line_no)
-                )
-            )
-        elif keyword == "transitive":
-            if not _is_number(rest) or int(rest) < 1:
-                raise ParseError(f"invalid depth {_shown(rest)}", line_no)
-            assertions.append(Transitive(int(rest)))
-        elif keyword == "projection_witness":
-            vertex, remainder = _split_once(rest, ":", line_no)
-            stab_word, target = _split_once(remainder, "->", line_no)
-            assertions.append(
-                ProjectionWitness(
-                    _check_vertex(vertex, line_no),
-                    _check_word(stab_word, line_no),
-                    _check_word(target, line_no),
-                )
-            )
-        elif keyword == "distinct_positive_words":
-            m = _DISTINCT_RE.match(rest)
-            if m is None or not all(map(_is_number, m.group(2, 3))):
-                raise ParseError(
-                    "expected '(gens) maxlen N expect M' after keyword", line_no
-                )
-            gens = tuple(
-                _check_word(g, line_no) for g in m.group(1).split(",") if g.strip()
-            )
-            if not gens:
-                raise ParseError("empty generator list", line_no)
-            assertions.append(
-                DistinctPositiveWords(gens, int(m.group(2)), int(m.group(3)))
-            )
+    for line_no, keyword, rest in _lines(text):
+        if keyword in ("suite", "group"):
+            _header(header, keyword, _name(keyword, rest, line_no), line_no)
+        elif keyword in _FORMS:
+            assertions.append(_read_assertion(*_FORMS[keyword], rest, line_no))
         else:
             raise ParseError(f"unknown assertion keyword {_shown(keyword)}", line_no)
-    if name is None:
+    if "suite" not in header:
         raise ParseError("missing 'suite' line")
-    return Certificate(name, group_name, tuple(assertions))
+    return Certificate(header["suite"], header.get("group"), tuple(assertions))
 
 
 def load_certificate_file(path) -> Certificate:

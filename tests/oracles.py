@@ -16,19 +16,23 @@ word-based Schreier transversal and generator dedupe that the id-based
 compiled level permutations of `GroupDef.level_perms` replaced.
 `InternTableReference` is the intern table whose `mul` walks the section
 pairs of every product, recursing into the memoized ones, as it did before
-the one-row lookup of `decide._InternTable.mul`.
+the one-row lookup of `decide._InternTable.mul`.  `parse_certificate_reference`
+is the keyword-by-keyword `.cert` reader that the assertion forms of
+`agroups.certify` replaced; it shares only the tuple and cycle readers of
+`agroups.formats`, which `.agt` files use too.
 """
 
 import re
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from agroups import decide
+from agroups import certify, decide
 from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
 from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _push, _shown
-from agroups.core import format_vertex
+from agroups.core import _NAME_RE, _is_number, format_vertex
+from agroups.formats import _parse_cycles, _parse_tuple_then_rest
 from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, is_supported_only_at
-from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError
+from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
 
 
 def coords_reference(g: Element) -> WreathCoords:
@@ -479,3 +483,103 @@ class InternTableReference(decide._InternTable):
             if len(left) == len(todo):
                 left = self._cycles(images, refs, ids, left)
         return [ids[i] for i in range(len(images))]
+
+
+_VERTEX_RE = re.compile(r"(\.|[0-9]+(\.[0-9]+)*)\Z")
+_DISTINCT_RE = re.compile(r"\(([^()]*)\)\s+maxlen\s+([0-9]+)\s+expect\s+([0-9]+)\Z")
+
+
+def _check_word(text: str, line_no: int) -> str:
+    word_letters(text, line_no)
+    return text.strip()
+
+
+def _check_vertex(text: str, line_no: int) -> str:
+    text = text.strip()
+    if not _VERTEX_RE.match(text):
+        raise ParseError(f"malformed vertex {_shown(text)}", line_no)
+    return text
+
+
+def _split_once(rest: str, sep: str, line_no: int) -> Tuple[str, str]:
+    if sep not in rest:
+        raise ParseError(f"expected {sep!r}", line_no)
+    left, right = rest.split(sep, 1)
+    return left.strip(), right.strip()
+
+
+def parse_certificate_reference(text: str) -> certify.Certificate:
+    name: Optional[str] = None
+    group_name: Optional[str] = None
+    assertions: List[certify.Assertion] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        split = line.split(None, 1)
+        keyword, rest = split[0], (split[1].strip() if len(split) > 1 else "")
+        if keyword == "suite":
+            if not _NAME_RE.match(rest):
+                raise ParseError(f"invalid suite name {_shown(rest)}", line_no)
+            name = rest
+        elif keyword == "group":
+            if not _NAME_RE.match(rest):
+                raise ParseError(f"invalid group name {_shown(rest)}", line_no)
+            group_name = rest
+        elif keyword == "trivial":
+            assertions.append(certify.Trivial(_check_word(rest, line_no)))
+        elif keyword == "equal":
+            left, right = _split_once(rest, "=", line_no)
+            assertions.append(certify.Equal(_check_word(left, line_no), _check_word(right, line_no)))
+        elif keyword == "member_by_expression":
+            left, right = _split_once(rest, "=", line_no)
+            assertions.append(
+                certify.MemberByExpression(_check_word(left, line_no), _check_word(right, line_no))
+            )
+        elif keyword == "coords":
+            left, right = _split_once(rest, "=", line_no)
+            slots, tail = _parse_tuple_then_rest(right, line_no)
+            assertions.append(
+                certify.CoordsIs(
+                    _check_word(left, line_no),
+                    tuple(_check_word(s, line_no) for s in slots),
+                    _parse_cycles(tail, line_no),
+                )
+            )
+        elif keyword == "in_level_stab":
+            level, word = _split_once(rest, ":", line_no)
+            if not _is_number(level):
+                raise ParseError(f"invalid level {_shown(level)}", line_no)
+            assertions.append(certify.InLevelStab(int(level), _check_word(word, line_no)))
+        elif keyword == "supported_only_at":
+            vertex, word = _split_once(rest, ":", line_no)
+            assertions.append(
+                certify.SupportedOnlyAt(_check_vertex(vertex, line_no), _check_word(word, line_no))
+            )
+        elif keyword == "transitive":
+            if not _is_number(rest) or int(rest) < 1:
+                raise ParseError(f"invalid depth {_shown(rest)}", line_no)
+            assertions.append(certify.Transitive(int(rest)))
+        elif keyword == "projection_witness":
+            vertex, remainder = _split_once(rest, ":", line_no)
+            stab_word, target = _split_once(remainder, "->", line_no)
+            assertions.append(
+                certify.ProjectionWitness(
+                    _check_vertex(vertex, line_no),
+                    _check_word(stab_word, line_no),
+                    _check_word(target, line_no),
+                )
+            )
+        elif keyword == "distinct_positive_words":
+            m = _DISTINCT_RE.match(rest)
+            if m is None or not all(map(_is_number, m.group(2, 3))):
+                raise ParseError("expected '(gens) maxlen N expect M' after keyword", line_no)
+            gens = tuple(_check_word(g, line_no) for g in m.group(1).split(",") if g.strip())
+            if not gens:
+                raise ParseError("empty generator list", line_no)
+            assertions.append(certify.DistinctPositiveWords(gens, int(m.group(2)), int(m.group(3))))
+        else:
+            raise ParseError(f"unknown assertion keyword {_shown(keyword)}", line_no)
+    if name is None:
+        raise ParseError("missing 'suite' line")
+    return certify.Certificate(name, group_name, tuple(assertions))

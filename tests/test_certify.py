@@ -126,6 +126,14 @@ def test_ball_sizes_basilica_radius_10(bas):
     assert sizes == (1, 5, 17, 53, 153, 421, 1125, 2945, 7545, 18973, 46957)
 
 
+def test_ball_stores_each_root_image_once(bas):
+    # 7,545 states over 2 root images: every state shares one of 2 image tuples
+    table = decide._InternTable(bas)
+    letters = [table.intern(x) for e in bas.generators() for x in (e, e.inverse())]
+    assert sum(len(sphere) for sphere in table.spheres(letters, 8)) + 1 == len(table.images) == 7545
+    assert len({id(t) for t in table.images}) == len(set(table.images)) == 2
+
+
 def test_ball_cap(grig):
     with pytest.raises(BoundExceeded):
         ball_sizes(GenSet.from_group(grig), 4, max_elements=10)

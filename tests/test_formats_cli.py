@@ -1,24 +1,30 @@
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from agroups import corpus
+from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
-from agroups.core import VERTEX_CAP, EmptyGroup, EngineError
+from agroups.core import MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
 from agroups.decide import BALL_CAP, CLOSURE_CAP
 from agroups.formats import (
+    _FORMS,
+    _READ,
     format_group_file,
     parse_certificate,
     parse_group_file,
 )
 from agroups.words import ParseError, word_letters
+from oracles import parse_certificate_reference
 
 
 GRIG_TEXT = """\
@@ -64,9 +70,106 @@ def test_group_file_roundtrip(grig, bas, odo):
 
 def test_parse_certificate_roundtrips_bundled():
     for name in corpus.CERTIFICATES:
-        cert = parse_certificate(corpus.corpus_text(f"{name}.cert"))
-        assert cert.name == name
-        assert cert.assertions
+        text = corpus.corpus_text(f"{name}.cert")
+        cert = parse_certificate(text)
+        assert cert.name == name and cert.assertions
+        assert cert == parse_certificate_reference(text)
+        lines = [f"suite {cert.name}", f"group {cert.group_name}"]
+        assert parse_certificate("\n".join(lines + [a.describe() for a in cert.assertions])) == cert
+
+
+# the separators of the assertion forms, and the tuple brackets
+_SEPARATOR_RE = re.compile(r"->|[=:,()]|\bmaxlen\b|\bexpect\b")
+
+
+def _mutants(rest: str, rng: random.Random):
+    """Variants of the text after one assertion keyword."""
+    seps = list(_SEPARATOR_RE.finditer(rest))
+    for m in seps:  # drop, double or join up each separator
+        yield rest[: m.start()] + rest[m.end() :]
+        yield rest[: m.end()] + " " + m.group() + rest[m.end() :]
+        yield rest[: m.start()].rstrip() + m.group() + rest[m.end() :].lstrip()
+    fields = [f for f in _SEPARATOR_RE.split(rest) if f.strip()]
+    for field in fields:  # empty each field
+        yield rest.replace(field, " ", 1)
+    numbers = list(re.finditer(r"[0-9]+", rest))
+    for m in numbers:
+        for digits in ("0", "²", "٣", "1" + "0" * 640, "7" * 640, "7" * 641, m.group() + "²"):
+            yield rest[: m.start()] + digits + rest[m.end() :]
+    if numbers:
+        m = rng.choice(numbers)
+        yield rest[: m.start()] + m.group() + "." + "7" * 641 + rest[m.end() :]
+    if "(" in rest:  # brackets inside the first tuple or word
+        inner = rest.index("(") + 1
+        for wrap in ("({})", "[{0}, {0}]", "(({}))", "({}", "{})"):
+            entry = re.match(r"[^,()]*", rest[inner:]).group()
+            yield rest[:inner] + wrap.format(entry) + rest[inner + len(entry) :]
+    for junk in (" x", " )", " (", " 5", " ->", " =", " :", " ,", " expect 3", "²"):
+        yield rest + junk
+    for _ in range(3):  # one separator swapped for another
+        if seps:
+            m = rng.choice(seps)
+            other = rng.choice(["->", "=", ":", ",", "maxlen", "expect"])
+            yield rest[: m.start()] + other + rest[m.end() :]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_parse_certificate_matches_reference_on_mutated_lines():
+    # each bundled assertion line, mutated, reads as the keyword-by-keyword reader read it,
+    # but for the changes asserted on their own: long vertex letters, and the tuple and
+    # the messages of distinct_positive_words
+    rng = random.Random(12)
+    changed = Counter()
+    lines = {
+        line
+        for name in corpus.CERTIFICATES
+        for line in corpus.corpus_text(f"{name}.cert").splitlines()
+        if line.strip() and line.split()[0] not in ("#", "suite", "group")
+    }
+    kinds = Counter()
+    for line in sorted(lines):
+        keyword, rest = line.split(None, 1)
+        for variant in _mutants(rest, rng):
+            text = f"suite s\n{keyword} {variant}\n"
+            old, new = _outcome(parse_certificate_reference, text), _outcome(parse_certificate, text)
+            kinds[keyword] += 1
+            if old == new:
+                continue
+            if keyword == "distinct_positive_words":
+                changed["distinct " + _tuple_change(old, new)] += 1
+            else:
+                assert isinstance(old, Certificate) and "malformed vertex" in new, (text, old, new)
+                vertex = old.assertions[0].vertex
+                assert max(map(len, vertex.split("."))) > MAX_DIGITS, text
+                changed["vertex"] += 1
+    assert set(kinds) == set(_FORMS) and min(kinds.values()) >= 15, kinds
+    assert set(changed) == {"vertex", "distinct empty entry", "distinct brackets", "distinct message"}
+    assert sum(changed.values()) < sum(kinds.values()) / 10, changed
+
+
+def _tuple_change(old, new) -> str:
+    """Which change of distinct_positive_words turns the earlier outcome `old` into `new`."""
+    if isinstance(old, Certificate):  # an empty entry was dropped; now it is an empty word
+        assert new.startswith("line 2: empty word"), (old, new)
+        return "empty entry"
+    if isinstance(new, Certificate):  # a bracket in the tuple was refused, or split at its comma
+        assert old.startswith("line 2"), (old, new)
+        assert any(set("()[]") & set(w) for w in new.assertions[0].gen_words), new
+        return "brackets"
+    # an error either way: the earlier reader's one message for the whole line, or its
+    # empty list for `()`, which has an empty word now
+    assert new.startswith("line 2: "), (old, new)
+    assert old in (
+        "line 2: expected '(gens) maxlen N expect M' after keyword",
+        "line 2: empty generator list",
+    ), (old, new)
+    return "message"
 
 
 def test_parse_certificate_errors():
@@ -82,6 +185,62 @@ def test_parse_certificate_errors():
         parse_certificate("suite s\nprojection_witness 1 : a\n")  # missing '->'
     with pytest.raises(ParseError):
         parse_certificate("suite s\ntrivial a )\n")  # word syntax checked early
+
+
+def test_certificate_header_lines_come_once():
+    # the earlier reader kept the last 'suite' or 'group' line; .agt files refuse duplicates
+    for text, message in (
+        ("suite s\nsuite t\n", "line 2: duplicate 'suite' line"),
+        ("suite s\ngroup g\ntrivial a\ngroup g\n", "line 4: duplicate 'group' line"),
+    ):
+        assert parse_certificate_reference(text).name in ("s", "t")
+        with pytest.raises(ParseError) as exc:
+            parse_certificate(text)
+        assert str(exc.value) == message
+
+
+def test_distinct_positive_words_reads_tuples_as_coords_does(bas, capsys):
+    # an empty entry is an empty word, as in a coords slot tuple; the earlier reader dropped it
+    for line in ("coords a = (a, , b)", "distinct_positive_words (a, , b) maxlen 2 expect 6"):
+        with pytest.raises(ParseError) as exc:
+            parse_certificate(f"suite s\n{line}\n")
+        assert str(exc.value) == "line 2: empty word (use '1' for the identity)"
+    assert parse_certificate_reference(
+        "suite s\ndistinct_positive_words (a, , b) maxlen 2 expect 6\n"
+    ).assertions[0].gen_words == ("a", "b")
+    # a bracketed generator reads as `agt freesemigroup --gens` reads it; the earlier reader refused it
+    code, out, _ = run_cli(
+        capsys, "freesemigroup", "--group", "basilica", "--gens", "(a b);[a, b^2]", "--maxlen", "3", "--json"
+    )
+    assert code == 0
+    line = f"distinct_positive_words ((a b), [a, b^2]) maxlen 3 expect {json.loads(out)['distinct']}"
+    cert = parse_certificate(f"suite s\n{line}\n")
+    assert cert.assertions[0].gen_words == ("(a b)", "[a, b^2]")
+    assert run_suite(cert, bas).passed
+    with pytest.raises(ParseError):
+        parse_certificate_reference(f"suite s\n{line}\n")
+
+
+def test_certificate_vertex_letters_are_numbers_read_at_load(grig):
+    # a letter over MAX_DIGITS digits passed the earlier reader and failed only at run time
+    text = f"suite s\n\nsupported_only_at 1.{'7' * (MAX_DIGITS + 1)} : a\n"
+    vertex = parse_certificate_reference(text).assertions[0].vertex
+    with pytest.raises(BadVertex):
+        grig.vertex(vertex)
+    with pytest.raises(ParseError) as exc:
+        parse_certificate(text)
+    assert str(exc.value).startswith("line 3: malformed vertex '1.777")
+    assert parse_certificate(text.replace("7" * (MAX_DIGITS + 1), "7" * MAX_DIGITS)).assertions
+
+
+def test_readme_lists_each_assertion_form():
+    # the .cert block of README.md is one `kind form` line per keyword that parse_certificate reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Certificates (`.cert`)", 1)[1].split("```")[1]
+    lines = block.strip().splitlines()
+    assert lines == [f"{cls.kind} {cls.form}" for cls, _ in _FORMS.values()]
+    assert {cls.kind for cls in Assertion.__subclasses__()} == set(_FORMS)
+    assert all(part in _READ for cls, _ in _FORMS.values() for _, _, part in cls.layout)
 
 
 # -- command line -----------------------------------------------------------------
