@@ -42,8 +42,9 @@ def _load_certificate(source: str):
 
 
 def _gens(args, group: GroupDef) -> GenSet:
-    if args.gens:
-        words = [w.strip() for w in args.gens.split(";") if w.strip()]
+    if args.gens is not None:
+        # an empty entry is an empty word, as in a .cert tuple: parse_word refuses it
+        words = [w.strip() for w in args.gens.split(";")]
         return GenSet.from_elements([parse_word(w, group) for w in words], words)
     return GenSet.from_group(group)
 
@@ -470,11 +471,48 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_clean(row: tuple, tokens: List[str]) -> Optional[argparse.Namespace]:
+    """The Namespace argparse gives for `tokens` after the command of `row`, if they are clean.
+
+    Clean: each token is an exact flag of the row, given once, and a flag that is
+    not store_true is followed by one value that does not start with '-' and that
+    its `type` converts; every required flag is there.  Anything else is None.
+    """
+    name, _, handler, options = row
+    flags = dict((GROUP, JSON) + options)
+    values = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        keywords = flags.get(flag)
+        if keywords is None or flag in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            values[flag] = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+    args = argparse.Namespace(command=name, fn=handler)
+    for flag, keywords in flags.items():
+        if flag not in values and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, default))
+    return args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a request builds only its own row; help, empty and unknown input get the whole table
-    command = argv[0] if argv and any(argv[0] == row[0] for row in COMMANDS) else None
-    args = build_parser(command).parse_args(argv)
+    row = next((row for row in COMMANDS if argv and argv[0] == row[0]), None)
+    args = None if row is None else _read_clean(row, argv[1:])
+    if args is None:
+        # help and errors come from argparse: the invoked row's parser, or the whole
+        # table for help, empty and unknown input, as `agt` as a whole would print them
+        args = build_parser(None if row is None else row[0]).parse_args(argv)
     try:
         payload, lines, code = args.fn(args, _load_group(args.group))
     except EngineError as exc:

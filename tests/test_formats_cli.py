@@ -221,6 +221,15 @@ def test_distinct_positive_words_reads_tuples_as_coords_does(bas, capsys):
         parse_certificate_reference(f"suite s\n{line}\n")
 
 
+@pytest.mark.parametrize("gens", ["a;;b", "a;b;", " ; a", ""])
+@pytest.mark.parametrize("command", [["freesemigroup", "--maxlen", "2"], ["orbits", "--depth", "2"]])
+def test_empty_gens_entry_is_an_empty_word(capsys, command, gens):
+    # every ';'-separated entry is a word, as every entry of a .cert tuple is; none is dropped
+    code, out, err = run_cli(capsys, *command, "--group", "basilica", "--gens", gens, "--json")
+    assert (code, out) == (2, "")
+    assert err == "agt: error: empty word (use '1' for the identity)\n"
+
+
 def test_certificate_vertex_letters_are_numbers_read_at_load(grig):
     # a letter over MAX_DIGITS digits passed the earlier reader and failed only at run time
     text = f"suite s\n\nsupported_only_at 1.{'7' * (MAX_DIGITS + 1)} : a\n"
