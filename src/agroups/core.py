@@ -234,15 +234,17 @@ class GroupDef:
     Use :func:`make_group` (or the ``.agt`` file parser) to build one; the
     constructor trusts its input.
 
-    It compiles the validated states once into the step table read by
-    :meth:`Element.coords`, :meth:`Element.act` and :meth:`level_perms`:
-    each letter ``(name, 1)`` or ``(name, -1)`` maps to its root image
-    tuple and to its section letter (None for the identity) at each input
-    letter.  It also maps the printed text of each letter, ``a`` or
-    ``a^-1``, to the letter.
+    It compiles the validated states once into one step table, read by
+    :meth:`Element.coords`, :meth:`Element.act`, :meth:`Element.section`
+    and :meth:`level_perms`.  Each letter ``(name, 1)`` or ``(name, -1)``
+    maps to one entry per input letter i, a triple: the 0-based position
+    its root permutation sends i to, the section letter there (None for
+    the identity), and that section letter's inverse, against which free
+    reduction compares.  It also maps the printed text of each letter,
+    ``a`` or ``a^-1``, to the letter.
     """
 
-    __slots__ = ("name", "degree", "_states", "_sig", "_step", "_printed")
+    __slots__ = ("name", "degree", "_states", "_sig", "_table", "_printed")
 
     def __init__(self, name: str, degree: int, states: "dict[str, State]"):
         self.name = name
@@ -253,13 +255,18 @@ class GroupDef:
             degree,
             tuple((n, st.slots, st.perm.image) for n, st in states.items()),
         )
-        self._step: "dict[Letter, tuple]" = {}
+        # one tuple per letter, shared by the table; None stands for the identity slot
+        pos = {None: None, **{n: (n, 1) for n in states}}
+        neg = {None: None, **{n: (n, -1) for n in states}}
+        self._table: "dict[Letter, tuple]" = {}
         for n, (slots, perm) in states.items():
             # s sends i w to e(i) s_{e(i)}(w), so s^-1 sends j w to e^-1(j) s_j^-1(w)
-            by_input = (slots[j - 1] for j in perm.image)
-            self._step[(n, 1)] = (perm.image, tuple((s, 1) if s else None for s in by_input))
-            self._step[(n, -1)] = (perm.inv().image, tuple((s, -1) if s else None for s in slots))
-        self._printed = {_letter_text(letter): letter for letter in self._step}
+            image = perm.image
+            by_input = [slots[j - 1] for j in image]
+            self._table[pos[n]] = tuple([(j - 1, pos[s], neg[s]) for j, s in zip(image, by_input)])
+            image = perm.inv().image
+            self._table[neg[n]] = tuple([(j - 1, neg[s], pos[s]) for j, s in zip(image, slots)])
+        self._printed = {_letter_text(letter): letter for letter in self._table}
 
     # -- states ---------------------------------------------------------
 
@@ -329,17 +336,17 @@ class GroupDef:
         whose entry r is the rank of the image of the vertex of rank r (ranks
         follow :meth:`vertices`).  The arrays are shared; do not mutate them.
 
-        A letter's permutation of level n follows from its step row and its
+        A letter's permutation of level n follows from its table entry and its
         sections' permutations of level n - 1: rank(i w) is
         (i - 1) d^(n-1) + rank(w).  Level n compiles only the letters within
         depth - n section steps of the words, and each level is checked
         against VERTEX_CAP before it is built.
         """
-        d, step = self.degree, self._step
+        d, table = self.degree, self._table
         dist = dict.fromkeys((x for w in words for x in w.letters), 0)  # section steps
         frontier = list(dist)
         for k in range(1, depth + 1):
-            reached = (s for x in frontier for s in step[x][1] if s is not None and s not in dist)
+            reached = (s for x in frontier for _, s, _ in table[x] if s is not None and s not in dist)
             frontier = list(dict.fromkeys(reached))
             dist.update(dict.fromkeys(frontier, k))
         ident = array("i", (0,))
@@ -352,8 +359,8 @@ class GroupDef:
                 for x, k in dist.items():
                     if k <= depth - n:
                         perm = perms[x] = array("i")
-                        for j, s in zip(*step[x]):
-                            offset = (j - 1) * size
+                        for j, s, _ in table[x]:
+                            offset = j * size
                             if s is None:
                                 perm += ident[offset : offset + size]
                             else:
@@ -468,19 +475,15 @@ class WreathCoords(NamedTuple):
     perm: Perm
 
 
-def _push(word: "list[Letter]", letter: Letter) -> None:
-    # appending a single letter keeps the word freely reduced
-    if word and word[-1][0] == letter[0] and word[-1][1] == -letter[1]:
-        word.pop()
-    else:
-        word.append(letter)
-
-
 def _reduce(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
-    out: "list[Letter]" = []
+    out: "list[Letter]" = [("", 0)]  # a sentinel that cancels no letter
     for letter in letters:
-        _push(out, letter)
-    return tuple(out)
+        last = out[-1]
+        if last[0] == letter[0] and last[1] == -letter[1]:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out[1:])
 
 
 class Element:
@@ -524,10 +527,15 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._check_group(other)
-        word = list(self.letters)
-        for letter in other.letters:
-            _push(word, letter)
-        return Element._make(self.group, tuple(word))
+        # both words are reduced, so only the letters meeting at the join can cancel
+        left, right = self.letters, other.letters
+        n, k = len(left), 0
+        while k < n and k < len(right):
+            (name, exp), last = right[k], left[n - 1 - k]
+            if last[0] != name or last[1] != -exp:
+                break
+            k += 1
+        return Element._make(self.group, left[: n - k] + right[k:])
 
     def inverse(self) -> "Element":
         return Element._make(
@@ -552,44 +560,51 @@ class Element:
         and the section letters it meets, reduced in reverse, give slot e(i).
         """
         group = self.group
-        rows = [group._step[letter] for letter in reversed(self.letters)]
+        table = group._table
+        rows = [table[letter] for letter in reversed(self.letters)]
         image, slots = [], [None] * group.degree
-        for i in range(1, group.degree + 1):
-            j, word = i, []
-            for row_image, sections in rows:
-                if sections[j - 1] is not None:
-                    _push(word, sections[j - 1])
-                j = row_image[j - 1]
-            image.append(j)
-            slots[j - 1] = Element._make(group, tuple(reversed(word)))
+        for i in range(group.degree):
+            j, word = i, [None]  # a sentinel that cancels no letter
+            for row in rows:
+                j, s, inv = row[j]
+                if s is not None:
+                    if word[-1] == inv:
+                        word.pop()
+                    else:
+                        word.append(s)
+            image.append(j + 1)
+            slots[j] = Element._make(group, tuple(word[:0:-1]))
         return WreathCoords(tuple(slots), Perm._make(tuple(image)))
 
     def section(self, v: Union[str, Sequence[int]]) -> "Element":
         """The element induced on the subtree at vertex `v`: each letter walks
         down it as in :meth:`act`, and the state it ends in is its section."""
-        step = self.group._step
+        table = self.group._table
         out = list(self.group.vertex(v))
-        word: "list[Letter]" = []
+        if not out:
+            return self
+        word = [None]  # a sentinel that cancels no letter
         for state in reversed(self.letters):
             for depth, i in enumerate(out):
-                image, sections = step[state]
-                out[depth] = image[i - 1]
-                state = sections[i - 1]
+                j, state, inv = table[state][i - 1]
+                out[depth] = j + 1
                 if state is None:
                     break
-            if state is not None:
-                _push(word, state)
-        return Element._make(self.group, tuple(reversed(word)))
+            else:
+                if word[-1] == inv:
+                    word.pop()
+                else:
+                    word.append(state)
+        return Element._make(self.group, tuple(word[:0:-1]))
 
     def act(self, v: Union[str, Sequence[int]]) -> Vertex:
         """Image of the vertex `v`: each letter, right to left, walks down it."""
-        step = self.group._step
+        table = self.group._table
         out = list(self.group.vertex(v))
         for state in reversed(self.letters):
             for depth, i in enumerate(out):
-                image, sections = step[state]
-                out[depth] = image[i - 1]
-                state = sections[i - 1]
+                j, state, _ = table[state][i - 1]
+                out[depth] = j + 1
                 if state is None:
                     break
         return tuple(out)

@@ -6,6 +6,14 @@ length at most n over the same states, so the reachable set is finite and
 the search terminates; the element is trivial iff every reachable section
 has an identity root permutation.
 
+`is_trivial`, the section closure, `portrait` and `activity_sequence`
+expand each distinct section word once per call, by `Element.coords`,
+into a memo that lives for the call (`_Expansions`); `activity_sequence`
+shares its memo with the triviality checks it makes.  The words one call
+expands hold at most LETTER_CAP letters in all, next to the CLOSURE_CAP
+words of a closure or triviality check, so a long word in a group whose
+sections do not shrink ends in BoundExceeded, not in a long run.
+
 Canonical keys come from the same closure: nodes are merged by partition
 refinement (two nodes are equivalent iff they carry equal root
 permutations and letter-wise equivalent children), and the quotient is
@@ -24,11 +32,10 @@ whose sections have ids, and `_cycles` refines the pairs left on a cycle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, _shown
+from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords, _shown
 
 __all__ = [
     "OrderResult",
@@ -48,6 +55,9 @@ BALL_CAP = 500_000  # elements in one Cayley ball
 ORDER_BOUND_CAP = 16_384  # powers tried by `order`
 ACTIVITY_LEVELS_CAP = 4096  # levels counted by `activity_sequence`
 CLOSURE_CAP = 100_000  # section words in one closure, or reached by one `is_trivial`
+# letters of the section words one call expands.  Tests, golden calls and the benchmark
+# reach 3,397, and 662,597 where a closure trips CLOSURE_CAP first.
+LETTER_CAP = 1_000_000
 
 
 def _closure_full(size: int) -> None:
@@ -55,14 +65,40 @@ def _closure_full(size: int) -> None:
         raise BoundExceeded(f"section closure exceeded {CLOSURE_CAP} nodes")
 
 
-def is_trivial(g: Element) -> bool:
-    """True iff `g` denotes the identity automorphism."""
+class _Expansions(dict):
+    """The expansions of one call: a word's letters -> its WreathCoords.
+
+    Calling it on an element expands the element's word by `Element.coords`
+    the first time only, and counts the word's letters against LETTER_CAP.
+    """
+
+    __slots__ = ("letters",)
+
+    def __init__(self):
+        super().__init__()
+        self.letters = 0
+
+    def __call__(self, g: Element) -> WreathCoords:
+        cs = self.get(g.letters)
+        if cs is None:
+            self.letters += len(g.letters)
+            if self.letters > LETTER_CAP:
+                raise BoundExceeded(f"section words of one call exceeded {LETTER_CAP} letters")
+            cs = self[g.letters] = g.coords()
+        return cs
+
+
+def is_trivial(g: Element, expand: Optional[_Expansions] = None) -> bool:
+    """True iff `g` denotes the identity automorphism.  A caller that checks
+    many sections passes its own `expand`, so that they share expansions."""
+    if expand is None:
+        expand = _Expansions()
+    identity = tuple(range(1, g.group.degree + 1))
     seen = {g.letters}
-    queue = deque([g])
-    while queue:
-        h = queue.popleft()
-        cs = h.coords()
-        if not cs.perm.is_identity():
+    queue = [g]
+    for h in queue:  # the list grows while it is walked
+        cs = expand(h)
+        if cs.perm.image != identity:
             return False
         for s in cs.slots:
             if s.letters and s.letters not in seen:
@@ -90,17 +126,16 @@ def _syntactic_closure(g: Element):
     Returns (nodes, images, edges) where images[i] is node i's root image
     tuple and edges[i][k-1] is the node index of its section at letter k.
     """
-    d = g.group.degree
+    expand = _Expansions()
     nodes: List[Element] = [g]
     index: Dict[tuple, int] = {g.letters: 0}
     images: List[Tuple[int, ...]] = []
     edges: List[Tuple[int, ...]] = []
-    i = 0
-    while i < len(nodes):
-        cs = nodes[i].coords()
+    for h in nodes:  # the list grows while it is walked
+        slots, perm = expand(h)
         row = []
-        for k in range(1, d + 1):
-            child = cs.slots[cs.perm(k) - 1]
+        for k in perm.image:  # the section at letter i is the slot e(i)
+            child = slots[k - 1]
             j = index.get(child.letters)
             if j is None:
                 j = len(nodes)
@@ -108,9 +143,8 @@ def _syntactic_closure(g: Element):
                 nodes.append(child)
                 _closure_full(len(nodes))
             row.append(j)
-        images.append(cs.perm.image)
+        images.append(perm.image)
         edges.append(tuple(row))
-        i += 1
     return nodes, images, edges
 
 
@@ -428,14 +462,15 @@ def portrait(g: Element, depth: int) -> Portrait:
     # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
     if max(g.group.degree, 2) ** min(depth, PORTRAIT_LEAF_CAP) > PORTRAIT_LEAF_CAP:
         raise BoundExceeded(f"depth {depth} gives over {PORTRAIT_LEAF_CAP} leaves")
-    if depth == 0:
-        return Portrait(None, (), g)
-    cs = g.coords()
-    kids = tuple(
-        portrait(cs.slots[cs.perm(i) - 1], depth - 1)
-        for i in range(1, g.group.degree + 1)
-    )
-    return Portrait(cs.perm, kids, None)
+    expand = _Expansions()
+
+    def draw(h: Element, depth: int) -> Portrait:
+        if depth == 0:
+            return Portrait(None, (), h)
+        slots, perm = expand(h)
+        return Portrait(perm, tuple(draw(slots[j - 1], depth - 1) for j in perm.image), None)
+
+    return draw(g, depth)
 
 
 # -- activity -----------------------------------------------------------------
@@ -445,19 +480,20 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     """Counts of level-n vertices with nontrivial section, n = 0..levels.
 
     Level by level expansion; each level keeps a multiset of nontrivial
-    section words, and triviality checks are memoized per invocation.
+    section words.  Triviality checks are memoized per invocation, and they
+    share its expansions, so each distinct section word is expanded once.
     """
     if levels < 0:
         raise BadArgument(f"levels must be nonnegative, got {levels}")
     if levels > ACTIVITY_LEVELS_CAP:
         raise BoundExceeded(f"levels {levels} exceeds cap {ACTIVITY_LEVELS_CAP}")
+    expand = _Expansions()
     memo: Dict[tuple, bool] = {}
 
     def trivial(e: Element) -> bool:
         v = memo.get(e.letters)
         if v is None:
-            v = is_trivial(e)
-            memo[e.letters] = v
+            v = memo[e.letters] = is_trivial(e, expand)
         return v
 
     counts = []
@@ -469,7 +505,7 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
         nxt: Dict[tuple, Tuple[Element, int]] = {}
         for elem, mult in current.values():
             # the slot multiset equals the section multiset over letters
-            for s in elem.coords().slots:
+            for s in expand(elem).slots:
                 if not trivial(s):
                     old = nxt.get(s.letters)
                     nxt[s.letters] = (s, mult if old is None else old[1] + mult)

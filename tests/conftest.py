@@ -7,7 +7,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from agroups import corpus  # noqa: E402
+from agroups import corpus, formats  # noqa: E402
 from agroups.core import make_group  # noqa: E402
 
 
@@ -24,6 +24,12 @@ def bas():
 @pytest.fixture(scope="session")
 def odo():
     return corpus.load_group("odometer")
+
+
+@pytest.fixture(scope="session")
+def aleshin():
+    # three states generating a free group: section words never collapse
+    return formats.load_group_file(pathlib.Path(__file__).with_name("aleshin.agt"))
 
 
 @pytest.fixture(scope="session")

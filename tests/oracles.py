@@ -4,8 +4,15 @@ Everything here goes through the level action only (coords + recursion or
 plain vertex images); none of it touches the section-closure machinery in
 `agroups.decide`, so it can stand witness against it.  The coordinates
 come from `coords_reference`, a per-letter fold of the product rule kept
-apart from the table-driven `Element.coords` it checks.  `rist_reference`
-is the exception: the word-enumerating witness search that
+apart from the table-driven `Element.coords` it checks; it has its own
+free reduction, `_push_reference`, which `reduce_reference` applies to a
+whole word.  `is_trivial_reference`, `section_closure_reference`,
+`portrait_reference` and `activity_sequence_reference` are the consumers
+of `Element.coords` in `agroups.decide` as they were before each distinct
+section word was expanded once per call: they call `coords` once per
+visit, and they share only `_closure_full`, `_refine` and
+`_canonical_order` with the package.  `rist_reference`
+is an exception too: the word-enumerating witness search that
 `subgroups.rist_elements` replaced, kept with its canonical-key dedupe.
 So are `schreier_reference`, `dedupe_reference` and `first_per_key`: the
 word-based Schreier transversal and generator dedupe that the id-based
@@ -23,16 +30,33 @@ is the keyword-by-keyword `.cert` reader that the assertion forms of
 """
 
 import re
+from collections import deque
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from agroups import certify, decide
 from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
-from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _push, _shown
+from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _shown
 from agroups.core import _NAME_RE, _is_number, format_vertex
 from agroups.formats import _parse_cycles, _parse_tuple_then_rest
 from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, is_supported_only_at
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
+
+
+def _push_reference(word: List[Letter], letter: Letter) -> None:
+    """Append `letter` to the reduced `word`, cancelling it against an inverse last letter."""
+    if word and word[-1] == (letter[0], -letter[1]):
+        word.pop()
+    else:
+        word.append(letter)
+
+
+def reduce_reference(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
+    """`letters` freely reduced, one `_push_reference` per letter."""
+    word: List[Letter] = []
+    for letter in letters:
+        _push_reference(word, letter)
+    return tuple(word)
 
 
 def coords_reference(g: Element) -> WreathCoords:
@@ -48,17 +72,111 @@ def coords_reference(g: Element) -> WreathCoords:
             for k in range(1, d + 1):
                 entry = st.slots[inv_eps(k) - 1]
                 if entry is not None:
-                    _push(slot_words[k - 1], (entry, 1))
+                    _push_reference(slot_words[k - 1], (entry, 1))
             eps = eps * st.perm
         else:
             sperm = st.perm
             for k in range(1, d + 1):
                 entry = st.slots[sperm(inv_eps(k)) - 1]
                 if entry is not None:
-                    _push(slot_words[k - 1], (entry, -1))
+                    _push_reference(slot_words[k - 1], (entry, -1))
             eps = eps * sperm.inv()
     slots = tuple(Element._make(group, tuple(w)) for w in slot_words)
     return WreathCoords(slots, eps)
+
+
+def is_trivial_reference(g: Element) -> bool:
+    """Triviality by a breadth-first search over section words, one `coords` per word."""
+    seen = {g.letters}
+    queue = deque([g])
+    while queue:
+        h = queue.popleft()
+        cs = h.coords()
+        if not cs.perm.is_identity():
+            return False
+        for s in cs.slots:
+            if s.letters and s.letters not in seen:
+                seen.add(s.letters)
+                queue.append(s)
+                decide._closure_full(len(seen))
+    return True
+
+
+def _syntactic_closure_reference(g: Element):
+    d = g.group.degree
+    nodes: List[Element] = [g]
+    index: Dict[tuple, int] = {g.letters: 0}
+    images: List[Tuple[int, ...]] = []
+    edges: List[Tuple[int, ...]] = []
+    i = 0
+    while i < len(nodes):
+        cs = nodes[i].coords()
+        row = []
+        for k in range(1, d + 1):
+            child = cs.slots[cs.perm(k) - 1]
+            j = index.get(child.letters)
+            if j is None:
+                j = len(nodes)
+                index[child.letters] = j
+                nodes.append(child)
+                decide._closure_full(len(nodes))
+            row.append(j)
+        images.append(cs.perm.image)
+        edges.append(tuple(row))
+        i += 1
+    return nodes, images, edges
+
+
+def section_closure_reference(g: Element) -> decide.SectionClosure:
+    nodes, images, edges = _syntactic_closure_reference(g)
+    cls = decide._refine(images, edges)
+    order, rows = decide._canonical_order(cls, images, edges, 0)
+    reps: Dict[int, Element] = {cls[0]: g}
+    for i in sorted(range(len(nodes)), key=lambda i: (len(nodes[i].letters), nodes[i].letters)):
+        reps.setdefault(cls[i], nodes[i])
+    out_elems = tuple(reps[c] for c in order)
+    out_edges = tuple(children for _, children in rows)
+    return decide.SectionClosure(g, out_elems, out_edges)
+
+
+def portrait_reference(g: Element, depth: int) -> decide.Portrait:
+    """The portrait to `depth`, recursing with one `coords` per node (no caps)."""
+    if depth == 0:
+        return decide.Portrait(None, (), g)
+    cs = g.coords()
+    kids = tuple(
+        portrait_reference(cs.slots[cs.perm(i) - 1], depth - 1)
+        for i in range(1, g.group.degree + 1)
+    )
+    return decide.Portrait(cs.perm, kids, None)
+
+
+def activity_sequence_reference(g: Element, levels: int) -> Tuple[int, ...]:
+    """Activity counts with memoized `is_trivial_reference`, each level expanded again."""
+    memo: Dict[tuple, bool] = {}
+
+    def trivial(e: Element) -> bool:
+        v = memo.get(e.letters)
+        if v is None:
+            v = is_trivial_reference(e)
+            memo[e.letters] = v
+        return v
+
+    counts = []
+    current: Dict[tuple, Tuple[Element, int]] = {}
+    if not trivial(g):
+        current[g.letters] = (g, 1)
+    counts.append(sum(c for _, c in current.values()))
+    for _ in range(levels):
+        nxt: Dict[tuple, Tuple[Element, int]] = {}
+        for elem, mult in current.values():
+            for s in elem.coords().slots:
+                if not trivial(s):
+                    old = nxt.get(s.letters)
+                    nxt[s.letters] = (s, mult if old is None else old[1] + mult)
+        current = nxt
+        counts.append(sum(c for _, c in current.values()))
+    return tuple(counts)
 
 
 def walk_reference(g: Element, v):

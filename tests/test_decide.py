@@ -1,12 +1,21 @@
+from collections import Counter
 from random import Random
 
 import pytest
 
 from agroups import decide
-from agroups.core import BoundExceeded, make_group
+from agroups.core import BoundExceeded, Element, make_group
 from agroups.words import parse_word
 
-from oracles import activity_oracle, fixes_all_vertices
+import property_checks as pc
+from oracles import (
+    activity_oracle,
+    activity_sequence_reference,
+    fixes_all_vertices,
+    is_trivial_reference,
+    portrait_reference,
+    section_closure_reference,
+)
 
 
 def test_is_trivial(grig):
@@ -198,3 +207,55 @@ def test_section_closure_edges_are_sections(grig):
         for letter in range(1, 3):
             child = sc.elements[sc.edges[i][letter - 1]]
             assert decide.equals(child, e.section((letter,)))
+
+
+def test_consumers_match_their_earlier_versions(grig, bas, odo, rot3, aleshin):
+    # one expansion per distinct word per call must not change what the consumers return
+    rng = Random(15)
+    for group, maxlen in ((grig, 24), (bas, 16), (odo, 24), (rot3, 16), (aleshin, 5)):
+        for _ in range(40):
+            g = pc.random_word(group, rng, maxlen)
+            depth = 7 if group.degree == 2 else 4
+            assert decide.portrait(g, depth) == portrait_reference(g, depth), (group.name, g)
+            assert decide.activity_sequence(g, 8) == activity_sequence_reference(g, 8), (group.name, g)
+            assert decide.section_closure(g) == section_closure_reference(g), (group.name, g)
+            assert decide.is_trivial(g) == is_trivial_reference(g), (group.name, g)
+            h = pc.random_word(group, rng, maxlen)
+            commutator = g * h * g.inverse() * h.inverse()
+            assert decide.is_trivial(commutator) == is_trivial_reference(commutator), (group.name, g, h)
+
+
+def test_each_section_word_is_expanded_once_per_call(grig, monkeypatch):
+    expanded = Counter()
+    coords = Element.coords
+
+    def counting(self):
+        expanded[self.letters] += 1
+        return coords(self)
+
+    monkeypatch.setattr(Element, "coords", counting)
+    b = grig.generator("b")
+    g = parse_word("(a b a c a d)^3 b a", grig)
+    for call, earlier in (
+        (lambda: decide.activity_sequence(b, 12), lambda: activity_sequence_reference(b, 12)),
+        (lambda: decide.portrait(g, 10), lambda: portrait_reference(g, 10)),
+    ):
+        expanded.clear()
+        want = earlier()
+        assert max(expanded.values()) > 1  # the earlier version expands some words again
+        expanded.clear()
+        assert call() == want
+        assert set(expanded.values()) == {1}, expanded.most_common(3)
+
+
+def test_expanded_letters_are_capped(aleshin):
+    # Aleshin's group is free, so sections of (a^-1 b)^k stay about 2k letters long
+    g = parse_word("(a^-1 b)^256", aleshin)
+    message = f"section words of one call exceeded {decide.LETTER_CAP} letters"
+    for call in (
+        lambda: decide.section_closure(g),
+        lambda: decide.portrait(g, 12),
+        lambda: decide.activity_sequence(g, 40),
+    ):
+        with pytest.raises(BoundExceeded, match=message):
+            call()

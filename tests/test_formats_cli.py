@@ -15,7 +15,7 @@ from agroups import corpus
 from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
 from agroups.core import MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
-from agroups.decide import BALL_CAP, CLOSURE_CAP
+from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP
 from agroups.formats import (
     _FORMS,
     _READ,
@@ -617,6 +617,30 @@ def test_section_closure_is_bounded(tmp_path):
                           "c a b b c a b a c a b b a"], tmp_path)
     assert code == 2 and err == f"agt: error: section closure exceeded {CLOSURE_CAP} nodes\n", err
     assert time.monotonic() - start < 20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closure", "--word", "(a^-1 b)^512"],
+        ["closure", "--word", "(a^-1 b)^2048"],
+        ["portrait", "--depth", "12", "--word", "(a^-1 b)^2048"],
+        ["activity", "--levels", "40", "--word", "(a^-1 b)^2048"],
+    ],
+    ids=["closure 512", "closure 2048", "portrait 2048", "activity 2048"],
+)
+def test_long_section_words_are_bounded(tmp_path, argv):
+    # sections of (a^-1 b)^k in the free Aleshin group keep about 2k letters. Without a
+    # letter cap the closure of k = 512 took 41 s to exit 2 at the node cap, k = 2048 ended
+    # in MemoryError under this limit, and the portrait and activity ran past a minute.
+    # Each exits 2 in about 0.6 s here.
+    aleshin = str(Path(__file__).with_name("aleshin.agt"))
+    start = time.monotonic()
+    code, err = _limited(["-m", "agroups.cli", argv[0], "--group", aleshin, *argv[1:]], tmp_path)
+    assert code == 2 and err == (
+        f"agt: error: section words of one call exceeded {LETTER_CAP} letters\n"
+    ), err
+    assert time.monotonic() - start < 10
 
 
 def test_free_semigroup_words_are_bounded(tmp_path):

@@ -8,7 +8,13 @@ from agroups import decide, formats
 from agroups.words import parse_word
 
 import property_checks as pc
-from oracles import InternTableReference, coords_reference, fixes_all_vertices, walk_reference
+from oracles import (
+    InternTableReference,
+    coords_reference,
+    fixes_all_vertices,
+    reduce_reference,
+    walk_reference,
+)
 
 
 def test_coordinate_law(grig, bas, odo, rot3):
@@ -41,6 +47,49 @@ def test_step_table_matches_reference(grig, bas, odo, rot3):
             image, section = walk_reference(g, u)
             assert g.act(u) == image
             assert g.section(u).letters == section.letters
+
+
+def _planted_word(group, rng: Random, maxlen: int):
+    """Letters of a random word of length 0..`maxlen`, reduced, in which a
+    conjugate ``u x u^-1`` or a pair ``x y^-1`` is planted now and then: where
+    the inner letters have trivial or equal sections, the slots cancel."""
+    names = group.state_names
+    letters = []
+    while len(letters) < rng.randint(0, maxlen):
+        x = (rng.choice(names), rng.choice((1, -1)))
+        kind = rng.random()
+        if kind < 0.3:
+            u = [(rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(1, 6))]
+            letters += u + [x] + [(n, -e) for n, e in reversed(u)]
+        elif kind < 0.5:
+            letters += [x, (rng.choice(names), -x[1])]
+        else:
+            letters.append(x)
+    return reduce_reference(letters[:maxlen])
+
+
+def test_coords_and_reduction_match_reference_under_cancellation(grig, bas, odo, rot3, aleshin):
+    # the inline free reduction of coords, Element(), * and ** against the per-letter push
+    rng = Random(14)
+    for group in (grig, bas, odo, rot3, aleshin):
+        cancelled = 0
+        for _ in range(300):
+            letters = _planted_word(group, rng, 64)
+            g = group.element(letters)
+            assert g.letters == letters
+            got, want = g.coords(), coords_reference(g)
+            assert [s.letters for s in got.slots] == [s.letters for s in want.slots], (group.name, g)
+            assert got.perm.image == want.perm.image
+            met = sum(sum(1 for _, s, _ in group._table[x] if s is not None) for x in letters)
+            cancelled += met > sum(len(s) for s in want.slots)
+            h = group.element(_planted_word(group, rng, 64))
+            assert (g * h).letters == reduce_reference(g.letters + h.letters)
+            assert (g * g.inverse()).letters == ()
+            n = rng.randint(-3, 3)
+            assert (g ** n).letters == reduce_reference((g if n >= 0 else g.inverse()).letters * abs(n))
+        # the odometer's reduced words are powers of one state, and Aleshin's automaton
+        # is bireversible, so sections of its reduced words are reduced: neither cancels
+        assert cancelled > 100 if group in (grig, bas, rot3) else cancelled == 0, group.name
 
 
 def test_action_compatibility(grig, bas, odo, rot3):
@@ -166,9 +215,8 @@ def _product_calls(table, group, rng, radius, wordlen, powers):
     return out
 
 
-def test_intern_table_fast_path_matches_walk(grig, bas, odo, rot3):
+def test_intern_table_fast_path_matches_walk(grig, bas, odo, rot3, aleshin):
     # the one-row lookup appends the same states in the same order as the walk
-    aleshin = formats.load_group_file(Path(__file__).with_name("aleshin.agt"))
     # Aleshin's group is free: a word of length n has 3^n states, so its sizes stay small
     cases = ((grig, (6, 12, 12)), (bas, (6, 12, 12)), (odo, (6, 12, 12)), (rot3, (4, 8, 8)),
              (aleshin, (3, 2, 1)))  # (radius, word length, powers)
