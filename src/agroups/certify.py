@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from string import Formatter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
@@ -275,19 +275,19 @@ class Report:
         ok = sum(1 for r in self.results if r.passed)
         return ok, len(self.results)
 
-    def lines(self) -> List[str]:
+    def lines(self) -> Iterator[str]:
+        """The text report, one line at a time, formatted as it is read."""
         ok, total = self.counts
-        out = [
+        yield (
             f"suite {self.suite} over group {self.group}: "
             f"{ok}/{total} passed in {self.runtime:.2f} s"
-        ]
+        )
         for r in self.results:
             mark = "PASS" if r.passed else "FAIL"
             line = f"  {mark}  {r.assertion.describe()}"
             if r.detail:
                 line += f"  [{r.detail}]"
-            out.append(line)
-        return out
+            yield line
 
     def to_payload(self) -> dict:
         # no runtime here: JSON output stays byte-identical across runs

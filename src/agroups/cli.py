@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
 from .core import EngineError, GroupDef, _shown, format_vertex
@@ -26,7 +26,7 @@ from .words import parse_word
 
 def _load_group(source: str) -> GroupDef:
     if os.path.exists(source):  # False, not OSError, for a name too long to look up
-        return formats.load_group_file(Path(source))
+        return formats.load_group_file(source)
     # only a bare NAME or NAME.agt falls back to the bundled group, never a missing path
     if (name := source.removesuffix(".agt")) in corpus.GROUPS:
         return corpus.load_group(name)
@@ -35,7 +35,7 @@ def _load_group(source: str) -> GroupDef:
 
 def _load_certificate(source: str):
     if os.path.exists(source):
-        return formats.load_certificate_file(Path(source))
+        return formats.load_certificate_file(source)
     if (name := source.removesuffix(".cert")) in corpus.CERTIFICATES:
         return corpus.load_certificate(name)
     raise EngineError(f"certificate {_shown(source)} not found (and not bundled)")
@@ -49,9 +49,55 @@ def _gens(args, group: GroupDef) -> GenSet:
     return GenSet.from_group(group)
 
 
-def _emit(args, payload: Optional[dict], text_lines: List[str]) -> None:
+def _json(value, indent: str, out: List[str]) -> None:
+    """Append the text of json.dumps(value, indent=2), nested `indent` deep, to `out`,
+    for the values a payload holds: dicts with str keys, lists, str, int, bool and
+    None.  TypeError for any other value."""
+    kind = type(value)
+    if kind is str:
+        out.append(_json_str(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out += (sep, _json_str(key), ": ")  # _json_str refuses a key that is not a str
+            _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not written directly")
+
+
+def _emit(args, payload: Optional[dict], text_lines: Iterable[str]) -> None:
+    """Print the payload as JSON under --json, else the text lines, read only here."""
     if payload is not None and args.json:
-        print(json.dumps(payload, indent=2))
+        out: List[str] = []
+        try:
+            _json(payload, "", out)
+            text = "".join(out)
+        except TypeError:  # json.dumps writes what _json does not cover, or names it
+            text = json.dumps(payload, indent=2)
+        print(text)
     else:
         for line in text_lines:
             print(line)
@@ -131,7 +177,9 @@ def chain_dot(report: subgroups.OrbitChainReport) -> str:
 
 # A handler maps the parsed arguments and the loaded group to its JSON payload
 # (None for graphviz, which --json does not replace), its text lines and its exit code.
-Result = Tuple[Optional[dict], List[str], int]
+# Text of more than one line comes from a generator, which only _emit reads, in text
+# mode, so a --json request formats none of it; lines reuse the payload's strings.
+Result = Tuple[Optional[dict], Iterable[str], int]
 
 # An option is (flag, argparse keywords); shared options are declared once.
 REQUIRED = {"required": True}
@@ -163,15 +211,21 @@ def command(name: str, summary: str, *options):
 def cmd_eval(args, group: GroupDef) -> Result:
     g = parse_word(args.word, group)
     cs = g.coords()
-    slots = [str(s) for s in cs.slots]
+    word, perm, slots = str(g), str(cs.perm), [str(s) for s in cs.slots]
     payload = {
         "group": group.name,
-        "word": str(g),
-        "perm": str(cs.perm),
+        "word": word,
+        "perm": perm,
         "perm_images": list(cs.perm.image),
         "slots": slots,
     }
-    return payload, [f"word: {g}", f"perm: {cs.perm}", f"slots: ({', '.join(slots)})"], 0
+
+    def lines():
+        yield f"word: {word}"
+        yield f"perm: {perm}"
+        yield f"slots: ({', '.join(slots)})"
+
+    return payload, lines(), 0
 
 
 @command("trivial", "does the word denote the identity?", WORD)
@@ -223,25 +277,24 @@ def cmd_portrait(args, group: GroupDef) -> Result:
     if args.dot:
         return None, [portrait_dot(p)], 0
 
-    lines = []
-
-    def walk(node: Portrait, path: tuple) -> dict:
-        # one pre-order pass writes the text line and builds the payload of each node
-        at = "  " * len(path) + format_vertex(path)
+    def tree(node: Portrait) -> dict:
         if node.residual is not None:
-            lines.append(f"{at}: residual {node.residual}")
             return {"residual": str(node.residual)}
-        lines.append(f"{at}: {node.perm}")
-        children = [walk(c, path + (i,)) for i, c in enumerate(node.children, start=1)]
-        return {"perm": str(node.perm), "children": children}
+        return {"perm": str(node.perm), "children": [tree(c) for c in node.children]}
 
-    payload = {
-        "group": group.name,
-        "word": args.word,
-        "depth": args.depth,
-        "portrait": walk(p, ()),
-    }
-    return payload, lines, 0
+    def lines(node: dict, path: tuple):
+        # pre-order, from the strings of the payload
+        at = "  " * len(path) + format_vertex(path)
+        if "residual" in node:
+            yield f"{at}: residual {node['residual']}"
+            return
+        yield f"{at}: {node['perm']}"
+        for i, child in enumerate(node["children"], start=1):
+            yield from lines(child, path + (i,))
+
+    root = tree(p)
+    payload = {"group": group.name, "word": args.word, "depth": args.depth, "portrait": root}
+    return payload, lines(root, ()), 0
 
 
 @command("activity", "counts of active vertices per level", WORD, ("--levels", INT))
@@ -256,18 +309,22 @@ def cmd_closure(args, group: GroupDef) -> Result:
     sc = decide.section_closure(parse_word(args.word, group))
     if args.dot:
         return None, [closure_dot(sc)], 0
+    elements = [str(e) for e in sc.elements]
     payload = {
         "group": group.name,
         "word": args.word,
         "size": sc.size,
-        "elements": [str(e) for e in sc.elements],
+        "elements": elements,
         "edges": [list(row) for row in sc.edges],
     }
-    lines = [f"{sc.size} distinct sections"]
-    for i, elem in enumerate(sc.elements):
-        targets = ", ".join(f"{letter}->{j}" for letter, j in enumerate(sc.edges[i], 1))
-        lines.append(f"  [{i}] {elem}  ({targets})")
-    return payload, lines, 0
+
+    def lines():
+        yield f"{sc.size} distinct sections"
+        for i, (elem, row) in enumerate(zip(elements, sc.edges)):
+            targets = ", ".join(f"{letter}->{j}" for letter, j in enumerate(row, 1))
+            yield f"  [{i}] {elem}  ({targets})"
+
+    return payload, lines(), 0
 
 
 @command(
@@ -299,11 +356,11 @@ def cmd_orbits(args, group: GroupDef) -> Result:
             for lv in table.levels
         ],
     }
-    lines = [
+    lines = (
         f"level {lv.level}: {lv.count} orbit(s), sizes "
         + ", ".join(str(len(b)) for b in lv.blocks)
         for lv in table.levels
-    ]
+    )
     return payload, lines, 0
 
 
@@ -324,14 +381,19 @@ def cmd_stab(args, group: GroupDef) -> Result:
     else:
         st = subgroups.vertex_stabilizer_gens(gens, args.vertex)
         target = f"vertex {args.vertex}"
+    found = [str(g) for g in st.generators]
     payload = {
         "group": group.name,
         "target": target,
-        "generators": [str(g) for g in st.generators],
+        "generators": found,
         "transversal_size": len(st.transversal),
     }
-    lines = [f"stabilizer of {target}: {len(st.generators)} generator(s)"]
-    return payload, lines + [f"  {g}" for g in st.generators], 0
+
+    def lines():
+        yield f"stabilizer of {target}: {len(found)} generator(s)"
+        yield from (f"  {g}" for g in found)
+
+    return payload, lines(), 0
 
 
 @command("project", "sections of the vertex stabilizer", VERTEX, GENS)
@@ -342,14 +404,19 @@ def cmd_project(args, group: GroupDef) -> Result:
 
 @command("rist", "witnesses supported in a single subtree", VERTEX, MAXLEN, GENS)
 def cmd_rist(args, group: GroupDef) -> Result:
-    found = subgroups.rist_elements(_gens(args, group), args.vertex, args.maxlen)
+    found = [str(g) for g in subgroups.rist_elements(_gens(args, group), args.vertex, args.maxlen)]
     payload = {
         "group": group.name,
         "vertex": args.vertex,
         "maxlen": args.maxlen,
-        "witnesses": [str(g) for g in found],
+        "witnesses": found,
     }
-    return payload, [f"{len(found)} witness(es)"] + [f"  {g}" for g in found], 0
+
+    def lines():
+        yield f"{len(found)} witness(es)"
+        yield from (f"  {g}" for g in found)
+
+    return payload, lines(), 0
 
 
 @command("chain", "orbit counts and chains below a vertex", VERTEX, DEPTH, GENS, DOT)
@@ -357,6 +424,7 @@ def cmd_chain(args, group: GroupDef) -> Result:
     report = subgroups.orbit_chain(_gens(args, group), args.vertex, args.depth)
     if args.dot:
         return None, [chain_dot(report)], 0
+    blocks = None if report.chain is None else [[format_vertex(v) for v in b] for b in report.chain]
     payload = {
         "group": group.name,
         "vertex": args.vertex,
@@ -364,20 +432,19 @@ def cmd_chain(args, group: GroupDef) -> Result:
         "counts": list(report.counts),
         "stabilized": report.stabilized,
         "stable_level": report.stable_level,
-        "chain": None
-        if report.chain is None
-        else [[format_vertex(v) for v in block] for block in report.chain],
+        "chain": blocks,
     }
-    lines = [f"orbit counts: {' '.join(map(str, report.counts))}"]
-    if report.stabilized:
-        lines.append(f"stabilized at level {report.stable_level}")
-        for n, block in enumerate(report.chain, start=report.stable_level):
-            lines.append(
-                f"  level {n}: {{{', '.join(format_vertex(v) for v in block)}}}"
-            )
-    else:
-        lines.append(f"not stabilized within depth {args.depth}")
-    return payload, lines, 0
+
+    def lines():
+        yield f"orbit counts: {' '.join(map(str, report.counts))}"
+        if report.stabilized:
+            yield f"stabilized at level {report.stable_level}"
+            for n, block in enumerate(blocks, start=report.stable_level):
+                yield f"  level {n}: {{{', '.join(block)}}}"
+        else:
+            yield f"not stabilized within depth {args.depth}"
+
+    return payload, lines(), 0
 
 
 @command(
@@ -392,23 +459,25 @@ def cmd_commutator_witness(args, group: GroupDef) -> Result:
     g = parse_word(args.word, group)
     w = parse_word(args.witness, group)
     cw = subgroups.commutator_witness(g, args.slot, args.inner, w)
+    companion, commutator, at = str(cw.h), str(cw.commutator), format_vertex(cw.vertex)
     payload = {
         "group": group.name,
         "word": args.word,
         "slot": args.slot,
         "inner": args.inner,
         "witness": args.witness,
-        "companion": str(cw.h),
-        "commutator": str(cw.commutator),
-        "section_at": format_vertex(cw.vertex),
+        "companion": companion,
+        "commutator": commutator,
+        "section_at": at,
         "verified": cw.verified,
     }
-    lines = [
-        f"companion h = {cw.h}",
-        f"[g, h] = {cw.commutator}",
-        f"section at {format_vertex(cw.vertex)} equals witness: {cw.verified}",
-    ]
-    return payload, lines, 0 if cw.verified else 1
+
+    def lines():
+        yield f"companion h = {companion}"
+        yield f"[g, h] = {commutator}"
+        yield f"section at {at} equals witness: {cw.verified}"
+
+    return payload, lines(), 0 if cw.verified else 1
 
 
 @command(
@@ -427,17 +496,21 @@ def cmd_ball(args, group: GroupDef) -> Result:
 @command("freesemigroup", "distinct positive words", MAXLEN, GENS)
 def cmd_freesemigroup(args, group: GroupDef) -> Result:
     res = certify.free_semigroup_check(_gens(args, group), args.maxlen)
+    collision = None if res.collision is None else [str(w) for w in res.collision]
     payload = {
         "group": group.name,
         "maxlen": res.maxlen,
         "total_words": res.total_words,
         "distinct": res.distinct,
-        "collision": None if res.collision is None else [str(w) for w in res.collision],
+        "collision": collision,
     }
-    lines = [f"{res.distinct} distinct of {res.total_words} positive words"]
-    if res.collision is not None:
-        lines.append(f"first collision: {res.collision[0]} = {res.collision[1]}")
-    return payload, lines, 0
+
+    def lines():
+        yield f"{res.distinct} distinct of {res.total_words} positive words"
+        if collision is not None:
+            yield f"first collision: {collision[0]} = {collision[1]}"
+
+    return payload, lines(), 0
 
 
 @command(

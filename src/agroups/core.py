@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from array import array
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping  # typing.Mapping's isinstance check takes 3x as long
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BadArgument",
@@ -106,6 +107,9 @@ _NAME_RE = re.compile(_NAME + r"\Z")
 VERTEX_CAP = 100_000  # vertices in one level, or vertex entries in one Schreier transversal
 MAX_DIGITS = 640  # digits in a number read from text; Python's int() reads at least 640
 SHOWN = 60  # characters of outside text that an error message echoes
+# Letters in a word built from a short text or a power, checked before each
+# expansion, so that neither can exhaust memory.
+MAX_WORD_LETTERS = 1 << 20
 
 
 def _is_number(text: str) -> bool:
@@ -250,23 +254,25 @@ class GroupDef:
         self.name = name
         self.degree = degree
         self._states = states
-        self._sig = (
-            name,
-            degree,
-            tuple((n, st.slots, st.perm.image) for n, st in states.items()),
-        )
+        self._sig = (name, degree, tuple([(n, st.slots, st.perm.image) for n, st in states.items()]))
         # one tuple per letter, shared by the table; None stands for the identity slot
-        pos = {None: None, **{n: (n, 1) for n in states}}
-        neg = {None: None, **{n: (n, -1) for n in states}}
-        self._table: "dict[Letter, tuple]" = {}
+        pos = {None: None}
+        neg = {None: None}
+        for n in states:
+            pos[n] = (n, 1)
+            neg[n] = (n, -1)
+        table: "dict[Letter, tuple]" = {}
         for n, (slots, perm) in states.items():
             # s sends i w to e(i) s_{e(i)}(w), so s^-1 sends j w to e^-1(j) s_j^-1(w)
-            image = perm.image
-            by_input = [slots[j - 1] for j in image]
-            self._table[pos[n]] = tuple([(j - 1, pos[s], neg[s]) for j, s in zip(image, by_input)])
-            image = perm.inv().image
-            self._table[neg[n]] = tuple([(j - 1, neg[s], pos[s]) for j, s in zip(image, slots)])
-        self._printed = {_letter_text(letter): letter for letter in self._table}
+            forward, backward = [], [None] * degree
+            for i, j in enumerate(perm.image):
+                s = slots[j - 1]
+                forward.append((j - 1, pos[s], neg[s]))
+                backward[j - 1] = (i, neg[s], pos[s])
+            table[pos[n]] = tuple(forward)
+            table[neg[n]] = tuple(backward)
+        self._table = table
+        self._printed = {_letter_text(letter): letter for letter in table}
 
     # -- states ---------------------------------------------------------
 
@@ -437,30 +443,30 @@ def make_group(
         raise EmptyGroup(f"group {_shown(name)} declares no states")
 
     table: "dict[str, State]" = {}
+    identity = Perm.identity(alphabet_size)  # shared: a Perm is immutable
     for state_name, slots, perm in rows:
         if not isinstance(state_name, str) or not _NAME_RE.match(state_name):
             raise BadStateName(f"invalid state name {_shown(state_name)}")
         if state_name in table:
             raise DuplicateState(f"state {_shown(state_name)} defined twice")
         if perm is None:
-            perm = Perm.identity(alphabet_size)
+            perm = identity
         elif not isinstance(perm, Perm):
             perm = Perm.from_cycles(alphabet_size, perm)
         if perm.degree != alphabet_size:
             raise BadPerm(
                 f"state {_shown(state_name)}: permutation degree {perm.degree} != {alphabet_size}"
             )
-        slots = tuple(None if s in (None, "1") else s for s in slots)
+        slots = tuple([None if s is None or s == "1" else s for s in slots])
         if len(slots) != alphabet_size:
             raise UnknownState(
                 f"state {_shown(state_name)}: expected {alphabet_size} slots, got {len(slots)}"
             )
         table[state_name] = State(slots, perm)
 
-    known = set(table)
-    for state_name, st in table.items():
-        for entry in st.slots:
-            if entry is not None and entry not in known:
+    for state_name, (slots, _) in table.items():
+        for entry in slots:
+            if entry is not None and entry not in table:
                 raise UnknownState(
                     f"state {_shown(state_name)} references undefined state {_shown(entry)}"
                 )
@@ -549,6 +555,12 @@ class Element:
         if not isinstance(n, int):
             return NotImplemented
         base = (self if n >= 0 else self.inverse()).letters
+        if not base:  # () * n overflows past sys.maxsize, though it stays empty
+            return self
+        if len(base) * abs(n) > MAX_WORD_LETTERS:
+            raise BoundExceeded(
+                f"power of a {len(base)}-letter word has over {MAX_WORD_LETTERS} letters"
+            )
         return Element._make(self.group, _reduce(base * abs(n)))
 
     # -- wreath calculus ---------------------------------------------------

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from ..certify import Certificate
 from ..core import EngineError, GroupDef
-from ..formats import parse_certificate, parse_group_file
+from ..formats import _read, parse_certificate, parse_group_file
 
 __all__ = [
     "CERTIFICATES",
@@ -19,12 +19,15 @@ __all__ = [
 GROUPS = ("grigorchuk", "basilica", "odometer")
 CERTIFICATES = ("grigorchuk_nea", "basilica_nea", "basilica_growth")
 
+_DIR = os.path.dirname(os.path.abspath(__file__))
+_FILES = frozenset([f"{name}.agt" for name in GROUPS] + [f"{name}.cert" for name in CERTIFICATES])
+
 
 def corpus_text(filename: str) -> str:
-    resource = resources.files(__package__).joinpath(filename)
-    if not resource.is_file():
+    """The UTF-8 text of a bundled file, read as a path file is."""
+    if filename not in _FILES:
         raise EngineError(f"no bundled file named {filename!r}")
-    return resource.read_text()
+    return _read(os.path.join(_DIR, filename))
 
 
 def load_group(name: str) -> GroupDef:

@@ -38,6 +38,13 @@ __all__ = [
 
 _GEN_RE = re.compile(rf"({_NAME})\s*=\s*(.+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# The rest of a `gen` line as format_group_file prints it: single spaces, slots
+# that are 1 or names, cycles of numbers of at most 9 digits (far below
+# MAX_DIGITS).  It reads as the general path reads it; any other text takes
+# that path, and its errors.
+_SLOT = rf"(?:1|{_NAME})"
+_CLEAN_CYCLE = r"\([0-9]{1,9}(?: [0-9]{1,9})*\)"
+_CLEAN_GEN_RE = re.compile(rf"({_NAME}) = \(({_SLOT}(?:, {_SLOT})*)\)(?: ((?:{_CLEAN_CYCLE})+))?\Z")
 
 
 def _lines(text: str) -> Iterator[Tuple[int, str, str]]:
@@ -127,6 +134,13 @@ def parse_group_file(text: str) -> GroupDef:
         elif keyword == "gen":
             if not {"group", "alphabet"} <= header.keys():
                 raise ParseError("'gen' before 'group' and 'alphabet'", line_no)
+            clean = _CLEAN_GEN_RE.match(rest)
+            if clean is not None:
+                gen_name, slots, cycles = clean.groups()
+                if cycles is not None:
+                    cycles = tuple([tuple(map(int, c.split())) for c in cycles[1:-1].split(")(")])
+                rows.append((gen_name, tuple(slots.split(", ")), cycles))
+                continue
             m = _GEN_RE.match(rest)
             if m is None:
                 raise ParseError("malformed 'gen' line", line_no)
@@ -156,14 +170,19 @@ def format_group_file(group: GroupDef) -> str:
 
 
 def _read(path) -> str:
-    """The UTF-8 text of the file at `path`; an EngineError if it cannot be read."""
+    """The UTF-8 text of the file at `path`; an EngineError if it cannot be read.
+
+    The bytes are decoded without the text layer's newline translation, which
+    changes no line that str.splitlines() reads."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            return file.read().decode("utf-8")
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
-    raise EngineError(f"cannot read {_shown(str(path))}: {reason}")
+    # the path as pathlib spells it: "./a//b/" is "a/b"
+    raise EngineError(f"cannot read {_shown(str(Path(path)))}: {reason}")
 
 
 def load_group_file(path) -> GroupDef:

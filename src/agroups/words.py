@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from .core import MAX_DIGITS, Element, EngineError, GroupDef, Letter, UnknownGenerator
-from .core import _NAME, _clip, _reduce, _shown
+from .core import MAX_DIGITS, MAX_WORD_LETTERS, Element, EngineError, GroupDef, Letter
+from .core import UnknownGenerator, _NAME, _clip, _reduce, _shown
 
 __all__ = ["ParseError", "parse_word", "word_letters"]
 
@@ -49,8 +49,6 @@ _END: _Token = (None, "", 0)  # closes every token list, so the parser never run
 
 # Brackets nest at most this deep; each level costs the recursive descent three frames.
 MAX_NESTING = 100
-# Letters in a parsed word, checked before each expansion, so a short text cannot exhaust memory.
-MAX_WORD_LETTERS = 1 << 20
 
 
 def _invert(letters: List[Letter]) -> List[Letter]:

@@ -25,8 +25,10 @@ compiled level permutations of `GroupDef.level_perms` replaced.
 pairs of every product, recursing into the memoized ones, as it did before
 the one-row lookup of `decide._InternTable.mul`.  `parse_certificate_reference`
 is the keyword-by-keyword `.cert` reader that the assertion forms of
-`agroups.certify` replaced; it shares only the tuple and cycle readers of
-`agroups.formats`, which `.agt` files use too.
+`agroups.certify` replaced.  `parse_group_file_reference` is the `.agt`
+reader as it was before a clean `gen` line was read by one regex.  Both
+read tuples and cycles with their own copies of the readers of
+`agroups.formats`.
 """
 
 import re
@@ -37,8 +39,7 @@ from agroups import certify, decide
 from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
 from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _shown
-from agroups.core import _NAME_RE, _is_number, format_vertex
-from agroups.formats import _parse_cycles, _parse_tuple_then_rest
+from agroups.core import _NAME, _NAME_RE, _is_number, format_vertex, make_group
 from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, is_supported_only_at
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
 
@@ -603,6 +604,60 @@ class InternTableReference(decide._InternTable):
         return [ids[i] for i in range(len(images))]
 
 
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def _parse_cycles_reference(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+    text = text.strip()
+    if text in ("", "id"):
+        return None
+    if _CYCLE_RE.sub("", text).strip():
+        raise ParseError(f"malformed cycle notation {_shown(text)}", line_no)
+    cycles = []
+    for m in _CYCLE_RE.finditer(text):
+        tokens = m.group(1).replace(",", " ").split()
+        if not tokens or not all(_is_number(t) for t in tokens):
+            raise ParseError(f"malformed cycle ({_clip(m.group(1))})", line_no)
+        cycles.append(tuple(int(t) for t in tokens))
+    return tuple(cycles)
+
+
+def _parse_tuple_then_rest_reference(text: str, line_no: int) -> Tuple[List[str], str]:
+    """Split ``( p1, p2, ... ) rest``; commas split only at tuple depth, and
+    `rest` keeps the text after ``)`` as it is."""
+    text = text.strip()
+    if not text.startswith("("):
+        raise ParseError("expected '(' starting a tuple", line_no)
+    depth = 0
+    bracket = 0
+    parts: List[str] = []
+    cur: List[str] = []
+    end = None
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+            if depth == 1:
+                continue
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                end = i
+                break
+        elif ch == "[":
+            bracket += 1
+        elif ch == "]":
+            bracket -= 1
+        elif ch == "," and depth == 1 and bracket == 0:
+            parts.append("".join(cur).strip())
+            cur = []
+            continue
+        cur.append(ch)
+    if end is None:
+        raise ParseError("unbalanced '(' in tuple", line_no)
+    parts.append("".join(cur).strip())
+    return parts, text[end + 1 :]
+
+
 _VERTEX_RE = re.compile(r"(\.|[0-9]+(\.[0-9]+)*)\Z")
 _DISTINCT_RE = re.compile(r"\(([^()]*)\)\s+maxlen\s+([0-9]+)\s+expect\s+([0-9]+)\Z")
 
@@ -656,12 +711,12 @@ def parse_certificate_reference(text: str) -> certify.Certificate:
             )
         elif keyword == "coords":
             left, right = _split_once(rest, "=", line_no)
-            slots, tail = _parse_tuple_then_rest(right, line_no)
+            slots, tail = _parse_tuple_then_rest_reference(right, line_no)
             assertions.append(
                 certify.CoordsIs(
                     _check_word(left, line_no),
                     tuple(_check_word(s, line_no) for s in slots),
-                    _parse_cycles(tail, line_no),
+                    _parse_cycles_reference(tail, line_no),
                 )
             )
         elif keyword == "in_level_stab":
@@ -701,3 +756,45 @@ def parse_certificate_reference(text: str) -> certify.Certificate:
     if name is None:
         raise ParseError("missing 'suite' line")
     return certify.Certificate(name, group_name, tuple(assertions))
+
+
+_GEN_RE = re.compile(rf"({_NAME})\s*=\s*(.+)\Z")
+
+
+def parse_group_file_reference(text: str) -> GroupDef:
+    header: dict = {}
+    rows: List[tuple] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        split = raw.split("#", 1)[0].split(None, 1)
+        if not split:
+            continue
+        keyword, rest = split[0], split[1].rstrip() if len(split) > 1 else ""
+        if keyword == "group":
+            if not _NAME_RE.match(rest):
+                raise ParseError(f"invalid group name {_shown(rest)}", line_no)
+            value = rest
+        elif keyword == "alphabet":
+            if not _is_number(rest) or int(rest) < 1:
+                raise ParseError(f"invalid alphabet size {_shown(rest)}", line_no)
+            value = int(rest)
+        elif keyword == "gen":
+            if not {"group", "alphabet"} <= header.keys():
+                raise ParseError("'gen' before 'group' and 'alphabet'", line_no)
+            m = _GEN_RE.match(rest)
+            if m is None:
+                raise ParseError("malformed 'gen' line", line_no)
+            slots, tail = _parse_tuple_then_rest_reference(m.group(2), line_no)
+            for entry in slots:
+                if entry != "1" and not _NAME_RE.match(entry):
+                    raise ParseError(f"invalid slot entry {_shown(entry)}", line_no)
+            rows.append((m.group(1), tuple(slots), _parse_cycles_reference(tail, line_no)))
+            continue
+        else:
+            raise ParseError(f"unknown keyword {_shown(keyword)}", line_no)
+        if keyword in header:
+            raise ParseError(f"duplicate {keyword!r} line", line_no)
+        header[keyword] = value
+    for keyword in ("group", "alphabet"):
+        if keyword not in header:
+            raise ParseError(f"missing {keyword!r} line")
+    return make_group(header["alphabet"], rows, name=header["group"])

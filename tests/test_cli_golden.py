@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -135,8 +136,8 @@ def run(argv, tmp):
 
 
 def write_inputs(tmp: Path) -> None:
-    (tmp / "hanoi.agt").write_text(HANOI)
-    (tmp / "bad.cert").write_text(BAD_CERT)
+    (tmp / "hanoi.agt").write_text(HANOI, encoding="utf-8")
+    (tmp / "bad.cert").write_text(BAD_CERT, encoding="utf-8")
 
 
 def option_sets() -> dict:
@@ -171,7 +172,7 @@ def record(tmp: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(DATA.read_text())
+    return json.loads(DATA.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +191,67 @@ def test_call_matches_golden(golden, tmp, index):
     assert run(CALLS[index], tmp) == golden["calls"][index]
 
 
+# pieces of random strings: JSON escapes, control, non-ASCII, astral and lone surrogate characters
+_PIECES = ['"', "\\", "/", "'", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ufeff", "😀",
+           "\U0001d11e", "\ud800", "a b", "1"]
+
+
+def _random_value(rng: random.Random, depth: int):
+    """A random value of the kinds a payload holds: dicts with str keys, lists, str, int, bool, None."""
+    kind = rng.randrange(8 if depth else 6)
+    if kind == 0:
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randrange(5)))
+    if kind == 1:
+        return rng.choice([True, False, 0, 1])
+    if kind == 2:
+        return rng.choice([-1, 2**64, -(2**70), 10**40, rng.randrange(-1000, 1000)])
+    if kind == 3:
+        return rng.choice([None, [], {}, [[]], {"": {}}])
+    if kind in (4, 5):
+        return rng.choice(["", "x", "é", "\U0001d11e"])
+    if kind == 6:
+        keys = ["k", "é\\", '"', "", "\U0001d11e", "k2", "k3", 1, None, True]
+        return {rng.choice(keys): _random_value(rng, depth - 1) for _ in range(rng.randrange(4))}
+    return [_random_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+
+
+def test_json_writer_matches_json_dumps(golden):
+    # the payload of every --json call on record, and seeded random values
+    payloads = [json.loads(c["stdout"]) for c in golden["calls"] if c["stdout"].startswith("{")]
+    assert len(payloads) > 40
+    rng = random.Random(15)
+    values = payloads + [_random_value(rng, 4) for _ in range(2000)]
+    written = 0
+    for value in values:
+        out = []
+        try:
+            cli._json(value, "", out)
+        except TypeError:  # a random dict key that is not a str
+            continue
+        assert "".join(out) == json.dumps(value, indent=2), value
+        written += 1
+    assert written > 1500
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{1: "a"}, {"a": {None: [True]}}, {"a": (1, 2)}, {"a": [1.5, float("nan")]}, {"b": {False: 0}},
+     {"a": [type("Text", (str,), {})("x")]}, {"a": [type("Count", (int,), {})(3)]}],
+)
+def test_emit_falls_back_to_json_dumps(capsys, payload):
+    # values the writer does not cover go to json.dumps, whole, and print what it prints
+    out = []
+    with pytest.raises(TypeError):
+        cli._json(payload, "", out)
+    cli._emit(argparse.Namespace(json=True), payload, iter(()))
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._emit(argparse.Namespace(json=True), {"a": {1, 2}}, iter(()))
+
+
 def test_option_sets_unchanged(golden):
     assert option_sets() == golden["options"]
 
@@ -198,4 +260,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        DATA.write_text(json.dumps(record(Path(scratch)), indent=1, ensure_ascii=False) + "\n")
+        text = json.dumps(record(Path(scratch)), indent=1, ensure_ascii=False) + "\n"
+        DATA.write_text(text, encoding="utf-8")

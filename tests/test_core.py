@@ -1,7 +1,10 @@
+import time
+
 import pytest
 
 from agroups import decide
 from agroups.core import (
+    MAX_WORD_LETTERS,
     VERTEX_CAP,
     BadPerm,
     BadVertex,
@@ -91,6 +94,22 @@ def test_element_reduction_and_ops(grig, bas):
         a * bas.generator("a")
     with pytest.raises(MixedGroups):
         decide.equals(a, bas.generator("a"))
+
+
+def test_powers_are_bounded(grig):
+    # a power past the word-letter cap is refused before its letters are built
+    b, ab = grig.generator("b"), parse_word("a b", grig)
+    for g, n in ((b, 10**9), (ab, -(10**30)), (ab, MAX_WORD_LETTERS // 2 + 1)):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=f"over {MAX_WORD_LETTERS} letters"):
+            g ** n
+        assert time.perf_counter() - start < 0.1
+    assert len(b ** MAX_WORD_LETTERS) == MAX_WORD_LETTERS
+    assert (ab ** 0).letters == () and (ab ** -1) == ab.inverse()
+    assert str(ab ** -2) == "b^-1 a^-1 b^-1 a^-1"
+    # the identity stays the identity, however large the exponent
+    for n in (0, 3, -3, 10**30, -(10**30)):
+        assert (grig.identity() ** n).letters == ()
 
 
 def test_coords_reproduce_identities(grig, bas):

@@ -24,7 +24,7 @@ from agroups.formats import (
     parse_group_file,
 )
 from agroups.words import ParseError, word_letters
-from oracles import parse_certificate_reference
+from oracles import parse_certificate_reference, parse_group_file_reference
 
 
 GRIG_TEXT = """\
@@ -66,6 +66,79 @@ def test_parse_group_file_errors():
 def test_group_file_roundtrip(grig, bas, odo):
     for group in (grig, bas, odo):
         assert parse_group_file(format_group_file(group)) == group
+
+
+HANOI_TEXT = """\
+group hanoi
+alphabet 3
+gen a = (1, 1, a) (1 2)
+gen b = (1, b, 1) (1 3)
+gen c = (c, 1, 1) (2 3)
+gen t = (b, c, a) (1 2 3)
+"""
+
+# characters and pieces that a mutation inserts or puts in place of a piece of a line
+_AGT_PIECES = [" ", "  ", "\t", ",", ", ", "(", ")", "()", "=", "#", "1", "0", "a", "x", "id", "²", "٣",
+               "\u00a0", "(1 2)", "(1,2)", "(2 3)(1 2)", "(1 1)", "(9)", "1" * 10, "7" * 641]
+
+_AGT_SLOTS = ["(1, 1)", "(1, 1, 1)", "(a)", "(a, a, a, a)", "(zz, 1)", "(1a, 1)", "(a.b, 1)", "(@, 1)",
+              "(1 ,1)", "(a,  1)", "(, 1)", "((a), 1)", "[a, 1]", "(a, 1"]
+_AGT_CYCLES = ["(1 2)", "(1 1)", "(1 3)", "(0 1)", "(1 2)(1 2)", "(1 2)(2 3)", "(1 2) (1 3)", "(1 2 3)",
+               "(2 1)(3)", "(123456789 1)", "(1234567890 1)", "(" + "1" * 641 + " 1)", "()", "(1,2)",
+               "id", "(1 2)id", "(1 2", "1 2", "(1 ²)"]
+
+
+def _agt_mutants(text: str, rng: random.Random):
+    """Variants of an .agt text: one line changed, moved, doubled or dropped."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        others = lines[:i] + lines[i + 1 :]
+        yield "\n".join(others)  # dropped
+        yield "\n".join(lines[: i + 1] + [line] + lines[i + 1 :])  # doubled
+        yield "\n".join([line] + others)  # moved first
+        for _ in range(12):  # one piece cut, inserted or replaced
+            a = rng.randrange(len(line) + 1)
+            b = min(len(line), a + rng.choice([0, 0, 1, 1, 2, 4]))
+            variant = line[:a] + rng.choice(_AGT_PIECES + [""]) + line[b:]
+            yield "\n".join(lines[:i] + [variant] + lines[i + 1 :])
+        for old, new in ((" = ", "="), (", ", ","), (") (", ")("), (") (", ") id "), (" ", "  ")):
+            yield "\n".join(lines[:i] + [line.replace(old, new)] + lines[i + 1 :])
+        yield "\n".join(lines[:i] + [line + "  # note", " " + line] + lines[i + 1 :])
+        if line.startswith("gen "):  # each slot tuple and cycle text, on this state
+            head = line[: line.index("(")]
+            slots = line[len(head) : line.index(")") + 1]
+            for other in _AGT_SLOTS:
+                yield "\n".join(lines[:i] + [head + other] + lines[i + 1 :])
+            for cycles in _AGT_CYCLES:
+                yield "\n".join(lines[:i] + [f"{head}{slots} {cycles}"] + lines[i + 1 :])
+
+
+def _group_outcome(parse, text):
+    try:
+        return parse(text)
+    except EngineError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def test_parse_group_file_matches_reference_on_mutated_texts():
+    # a clean gen line, read by one regex, reads as the general path reads it; every
+    # other line gives the same group, or the same error type, message and line
+    rng = random.Random(15)
+    texts = [corpus.corpus_text(f"{name}.agt") for name in corpus.GROUPS]
+    texts += [HANOI_TEXT, (Path(__file__).parent / "aleshin.agt").read_text(encoding="utf-8")]
+    outcomes = Counter()
+    for text in texts:
+        for variant in _agt_mutants(text, rng):
+            old = _group_outcome(parse_group_file_reference, variant)
+            new = _group_outcome(parse_group_file, variant)
+            assert old == new, (variant, old, new)
+            if isinstance(new, tuple):
+                outcomes[new[0].__name__] += 1
+            else:
+                outcomes["group"] += 1
+                assert new.state_names == old.state_names
+    assert outcomes["group"] > 200 and outcomes["ParseError"] > 200, outcomes
+    assert min(outcomes[e] for e in ("BadPerm", "UnknownState", "DuplicateState")) > 20, outcomes
 
 
 def test_parse_certificate_roundtrips_bundled():
@@ -302,7 +375,7 @@ def test_cli_missing_path_is_not_bundled(tmp_path, monkeypatch, capsys, option, 
 
 def test_cli_certify_failing_suite(tmp_path, capsys):
     cert = tmp_path / "bad.cert"
-    cert.write_text("suite bad\ntrivial a\n")
+    cert.write_text("suite bad\ntrivial a\n", encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "certify", "--group", "grigorchuk", "--suite", str(cert)
     )
@@ -419,7 +492,7 @@ def test_non_ascii_digits_are_engine_errors(tmp_path, capsys, grig):
     code, out, err = run_cli(capsys, "eval", "--group", "grigorchuk", "--word", "(a b)^٣")
     assert code == 2 and out == "" and "error" in err
     agt = tmp_path / "sup.agt"
-    agt.write_text("group g\nalphabet ²\ngen a = (1, 1)\n")
+    agt.write_text("group g\nalphabet ²\ngen a = (1, 1)\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--group", str(agt), "--word", "a")
     assert code == 2 and "error" in err
 
@@ -477,7 +550,7 @@ def test_oversized_numbers_exit_2(tmp_path, capsys, argv, text):
     # each raised int()'s ValueError, with a traceback and exit 1
     if text is not None:
         path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         argv = argv + [str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -516,7 +589,7 @@ def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
     # each echoed its input of 5,000 characters or more whole in the error line
     if text is not None:
         path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         argv = argv + [str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -542,6 +615,41 @@ def test_unreadable_files_exit_2(tmp_path, capsys, option, kind):
     assert err.startswith("agt: error: cannot read '") and err.count("\n") == 1, err
 
 
+def test_unreadable_path_is_named_as_pathlib_spells_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input").mkdir()
+    code, out, err = run_cli(capsys, "eval", "--group", ".//input/", "--word", "a")
+    assert (code, out, err) == (2, "", "agt: error: cannot read 'input': Is a directory\n")
+
+
+def test_each_call_reads_its_files_again(tmp_path, capsys):
+    # nothing is kept across calls in one process: a rewritten file gives a new answer
+    agt, cert = tmp_path / "g.agt", tmp_path / "s.cert"
+    argv = ["certify", "--group", str(agt), "--suite", str(cert), "--json"]
+    agt.write_text("group g\nalphabet 2\ngen a = (1, a) (1 2)\n", encoding="utf-8")
+    cert.write_text("suite s\ncoords a = (1, a) (1 2)\n", encoding="utf-8")
+    assert run_cli(capsys, *argv)[0] == 0
+    agt.write_text("group g\nalphabet 2\ngen a = (a, 1)\n", encoding="utf-8")
+    assert run_cli(capsys, *argv)[0] == 1
+    cert.write_text("suite s\ncoords a = (a, 1)\n", encoding="utf-8")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_files_are_read_as_utf8(tmp_path):
+    # bundled and path files alike: reading in the locale's encoding is an EncodingWarning
+    (tmp_path / "g.agt").write_text("# é\ngroup g\nalphabet 2\ngen a = (1, a) (1 2)\n", encoding="utf-8")
+    for argv in (
+        ["trivial", "--group", "grigorchuk", "--word", "b c d"],
+        ["certify", "--group", "basilica", "--suite", "basilica_nea"],
+        ["eval", "--group", "g.agt", "--word", "a"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error", "-m", "agroups.cli", *argv],
+            capture_output=True, encoding="utf-8", env=_env(), cwd=tmp_path, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), (argv, proc.stderr)
+
+
 def _env():
     """The environment of a child Python that imports this checkout's package."""
     path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
@@ -552,7 +660,7 @@ def _limited(argv, tmp_path):
     """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
     limit = 512 << 20
     proc = subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=_env(), cwd=tmp_path,
+        [sys.executable, *argv], capture_output=True, encoding="utf-8", env=_env(), cwd=tmp_path,
         timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     return proc.returncode, proc.stderr
@@ -572,8 +680,8 @@ def _limited(argv, tmp_path):
 def test_level_sizes_are_bounded(tmp_path, argv):
     # each built all d^n vertices or an unbounded transversal: MemoryError under 1 GB;
     # the wide alphabet raised MemoryError in Perm.identity under this test's 512 MiB
-    (tmp_path / "level40.cert").write_text("suite s\nin_level_stab 40 : a\n")
-    (tmp_path / "wide.agt").write_text("group g\nalphabet 100000000\ngen a = (1, 1)\n")
+    (tmp_path / "level40.cert").write_text("suite s\nin_level_stab 40 : a\n", encoding="utf-8")
+    (tmp_path / "wide.agt").write_text("group g\nalphabet 100000000\ngen a = (1, 1)\n", encoding="utf-8")
     code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
     assert code == 2 and err.startswith("agt: error: ") and str(VERTEX_CAP) in err, err
 
@@ -598,8 +706,8 @@ def test_level_action_compiles_only_reached_letters(tmp_path):
     n = 2047
     rows = (f"gen s{i} = ({', '.join(f's{j}' if j < n else '1' for j in (2 * i + 1, 2 * i + 2))}) (1 2)"
             for i in range(n))
-    (tmp_path / "tree.agt").write_text("group tree\nalphabet 2\n" + "\n".join(rows) + "\n")
-    (tmp_path / "tree.cert").write_text("suite s\ntransitive 12\nin_level_stab 16 : s0\n")
+    (tmp_path / "tree.agt").write_text("group tree\nalphabet 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "tree.cert").write_text("suite s\ntransitive 12\nin_level_stab 16 : s0\n", encoding="utf-8")
     for argv, want in (
         (["orbits", "--group", "tree.agt", "--depth", "12"], 0),
         (["certify", "--group", "tree.agt", "--suite", "tree.cert"], 1),  # both assertions fail
