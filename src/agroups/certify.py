@@ -377,10 +377,13 @@ def ball_sizes(
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
     Breadth-first search over interned ids; deterministic for a fixed
-    generating set.  Raises BoundExceeded past `max_elements`.
+    generating set.  Raises BoundExceeded past `max_elements`, which may
+    lower `decide.BALL_CAP` but not raise it.
     """
     if radius < 0:
         raise BadArgument(f"radius must be nonnegative, got {radius}")
+    if not 1 <= max_elements <= decide.BALL_CAP:
+        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {max_elements}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     sizes = [1]

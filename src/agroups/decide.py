@@ -27,7 +27,9 @@ The product loops (`order` here, `ball_sizes` and `free_semigroup_check` in
 table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys.
 A product is found by one row lookup when the products of its sections are
 already known; otherwise a walk over its section pairs settles the pairs
-whose sections have ids, and `_cycles` refines the pairs left on a cycle.
+whose sections have ids, and `_cycles` refines the pairs left on a cycle
+together with the ids on cycles of the table, so that no keys are built.
+The nodes one table's slow paths refine are bounded by REFINE_CAP.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ CLOSURE_CAP = 100_000  # section words in one closure, or reached by one `is_tri
 # letters of the section words one call expands.  Tests, golden calls and the benchmark
 # reach 3,397, and 662,597 where a closure trips CLOSURE_CAP first.
 LETTER_CAP = 1_000_000
+# nodes the slow paths of one intern table refine, over its life.  Tests reach 84,268,
+# the benchmark 109.
+REFINE_CAP = 250_000
 
 
 def _closure_full(size: int) -> None:
@@ -249,16 +254,17 @@ class _InternTable:
     ids is found by its row.  `mul` finds a product by one row lookup when
     each section product is trivial or memoized; otherwise it walks the
     section pairs, and `_absorb` looks up each pair whose sections got ids.
-    Only states on cycles go to `_cycles`, for refinement and keys."""
+    Only states on cycles go to `_cycles`, which refines them together with
+    the ids on cycles of the table."""
 
     def __init__(self, group):
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
         self.images, self.kids = [row[0]], [row[1]]
         self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
         self._distinct_images = {row[0]: row[0]}  # one tuple per root image, shared by rows
-        self._keys: Dict[tuple, int] = {(row,): 0}  # 0 and the slow path's ids, by key
+        self._made = [0]  # 0 and the ids `_cycles` made: every id on a cycle
         self._products: Dict[Tuple[int, int], int] = {}
-        self.walks = self.slow = 0
+        self.walks = self.slow = self.refined = 0  # refined: nodes `_cycles` refined
 
     def intern(self, g: Element) -> int:
         rows = canonical_key(g)
@@ -362,13 +368,14 @@ class _InternTable:
         return x
 
     def _cycles(self, images, refs, ids, left) -> list:
-        """Refine the new states `left` with the ids they reach.  A class
-        holding an id takes it; any other is looked up by canonical key.  If
-        none matched, none equals an id: a match would map a cycle of them
-        onto a cycle of ids, and each cycle of ids holds a keyed id, made
-        here.  So each class gets a new id.  Returns the states left."""
+        """Refine the new states `left` together with the ids in `_made` and
+        every id these reach.  A class holding an id takes it.  If none does,
+        each class gets a new id: every state left reaches a cycle of states
+        left, so an equal id would map it onto a cycle of ids, and every id on
+        a cycle is in `_made`, as `_state` gives an id only sections that
+        existed first.  Returns the states left."""
         self.slow += 1
-        nodes = list(left)  # new states as indices, ids as ~id
+        nodes = [*left, *(~x for x in self._made)]  # new states as indices, ids as ~id
         at = {r: n for n, r in enumerate(nodes)}
         node_images, edges = [], []
         for r in nodes:  # the list grows while it is walked
@@ -383,19 +390,18 @@ class _InternTable:
                     at[c] = len(nodes)
                     nodes.append(c)
             edges.append(tuple(at[c] for c in out))
+        self.refined += len(nodes)
+        if self.refined > REFINE_CAP:
+            raise BoundExceeded(f"intern table refinement exceeded {REFINE_CAP} nodes")
         cls = _refine(node_images, edges)
         m = len(left)  # nodes[:m] are the new states
         found = {c: ~r for r, c in zip(nodes[m:], cls[m:])}
-        keys: Dict[int, tuple] = {}  # class -> (first node, key)
-        for n, c in enumerate(cls[:m]):
-            if c not in found and c not in keys:
-                keys[c] = n, tuple(_canonical_order(cls, node_images, edges, n)[1])
-                if keys[c][1] in self._keys:
-                    found[c] = self._keys[keys[c][1]]
         if not any(c in found for c in cls[:m]):
-            found.update((c, len(self.images) + i) for i, c in enumerate(keys))
-            for c, (n, key) in keys.items():
-                self._keys[key] = self._state(node_images[n], tuple(found[cls[j]] for j in edges[n]))
+            # class -> one of its new states (all share a row), in order of first occurrence
+            member = dict(zip(cls[:m], range(m)))
+            found.update((c, len(self.images) + i) for i, c in enumerate(member))
+            self._made += [self._state(node_images[n], tuple(found[cls[j]] for j in edges[n]))
+                           for n in member.values()]
         ids.update((r, found[c]) for r, c in zip(left, cls) if c in found)
         return [r for r in left if r not in ids]
 

@@ -33,6 +33,12 @@ def aleshin():
 
 
 @pytest.fixture(scope="session")
+def rand4():
+    # a random ternary automaton whose products take long intern-table slow paths
+    return formats.load_group_file(pathlib.Path(__file__).with_name("rand4.agt"))
+
+
+@pytest.fixture(scope="session")
 def rot3():
     # ternary alphabet with non-commuting root permutations; exists to pin
     # the product/action conventions, which binary groups cannot distinguish

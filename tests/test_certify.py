@@ -14,7 +14,7 @@ from agroups.certify import (
     free_semigroup_check,
     run_suite,
 )
-from agroups.core import BoundExceeded
+from agroups.core import BadArgument, BoundExceeded
 from agroups.subgroups import GenSet, rist_elements
 
 from oracles import pairwise_ball_sizes
@@ -135,8 +135,14 @@ def test_ball_stores_each_root_image_once(bas):
 
 
 def test_ball_cap(grig):
+    gens = GenSet.from_group(grig)
     with pytest.raises(BoundExceeded):
-        ball_sizes(GenSet.from_group(grig), 4, max_elements=10)
+        ball_sizes(gens, 4, max_elements=10)
+    # a cap may lower decide.BALL_CAP, not lift it
+    assert ball_sizes(gens, 2, max_elements=decide.BALL_CAP) == (1, 5, 11)
+    for cap in (0, -5, decide.BALL_CAP + 1):
+        with pytest.raises(BadArgument, match=f"^cap must be in 1..{decide.BALL_CAP}, got {cap}$"):
+            ball_sizes(gens, 2, max_elements=cap)
 
 
 def test_report_payload_shape(grig):

@@ -259,3 +259,19 @@ def test_expanded_letters_are_capped(aleshin):
     ):
         with pytest.raises(BoundExceeded, match=message):
             call()
+
+
+def test_intern_table_slow_path_is_linear(aleshin, monkeypatch):
+    # (a b)^k in the free Aleshin group has 9^k states, all on cycles. Each slow path
+    # refines its new states with the ids they reach, not one canonical key per class
+    # (81, 6,642 and 538,083 key rows for k = 1..3)
+    table = decide._InternTable(aleshin)
+    x = power = table.intern(parse_word("a b", aleshin))
+    sizes = [(len(table.images), table.refined)]
+    for _ in range(3):
+        power = table.mul(power, x)
+        sizes.append((len(table.images), table.refined))
+    assert sizes == [(10, 10), (91, 101), (820, 921), (7381, 8302)]
+    monkeypatch.setattr(decide, "REFINE_CAP", 900)
+    with pytest.raises(BoundExceeded, match="^intern table refinement exceeded 900 nodes$"):
+        decide.order(parse_word("a b", aleshin), 8)

@@ -15,7 +15,7 @@ from agroups import corpus
 from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
 from agroups.core import MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
-from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP
+from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP, REFINE_CAP
 from agroups.formats import (
     _FORMS,
     _READ,
@@ -520,11 +520,14 @@ G, B = ["--group", "grigorchuk"], ["--group", "basilica"]
         ["eval", *G, "--word", "(" * 2000 + "a" + ")" * 2000],
         ["order", *B, "--word", "a", "--bound", "100000000"],
         ["activity", *B, "--word", "a", "--levels", "10000000"],
+        ["ball", *B, "--radius", "3", "--cap", "100000000"],
+        ["ball", *G, "--radius", "3", "--cap", "-5"],
     ],
     ids=lambda argv: " ".join([argv[0]] + argv[3:])[:40],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):
-    # each raised ValueError, IndexError or RecursionError, or printed a wrong answer
+    # each raised ValueError, IndexError or RecursionError, printed a wrong answer or ran
+    # past a 10 s timeout; a ball --cap above decide.BALL_CAP let radius 16 run out of memory
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("agt: error: ")
@@ -748,6 +751,20 @@ def test_long_section_words_are_bounded(tmp_path, argv):
     assert code == 2 and err == (
         f"agt: error: section words of one call exceeded {LETTER_CAP} letters\n"
     ), err
+    assert time.monotonic() - start < 10
+
+
+@pytest.mark.parametrize(
+    "argv", [["stab", "--level", "2"], ["order", "--word", "s0^-1 s1^-1"]], ids=["stab", "order"]
+)
+def test_intern_table_refinement_is_bounded(tmp_path, argv):
+    # a random 4-state ternary automaton. Each ended in MemoryError under this limit
+    # after 13-18 s, building a canonical key for every class a slow path left unmatched;
+    # each exits 2 in 1.6-3.3 s here.
+    rand4 = str(Path(__file__).with_name("rand4.agt"))
+    start = time.monotonic()
+    code, err = _limited(["-m", "agroups.cli", argv[0], "--group", rand4, *argv[1:]], tmp_path)
+    assert code == 2 and err == f"agt: error: intern table refinement exceeded {REFINE_CAP} nodes\n", err
     assert time.monotonic() - start < 10
 
 
