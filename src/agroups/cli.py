@@ -523,20 +523,15 @@ def cmd_certify(args, group: GroupDef) -> Result:
     return report.to_payload(), report.lines(), 0 if report.passed else 1
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The `agt` parser: the whole command table, or only the row named `command`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The `agt` parser: the whole command table."""
     parser = argparse.ArgumentParser(
         prog="agt",
         description="compute with groups of rooted-tree automorphisms "
         "defined by wreath recursion",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    if command is not None:
-        # the usage line of an error still lists every command, as the full table's does
-        sub.metavar = "{" + ",".join(row[0] for row in COMMANDS) + "}"
     for name, summary, handler, options in COMMANDS:
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=summary)
         p.set_defaults(fn=handler)
         for flag, keywords in (GROUP, JSON) + options:
@@ -583,9 +578,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     row = next((row for row in COMMANDS if argv and argv[0] == row[0]), None)
     args = None if row is None else _read_clean(row, argv[1:])
     if args is None:
-        # help and errors come from argparse: the invoked row's parser, or the whole
-        # table for help, empty and unknown input, as `agt` as a whole would print them
-        args = build_parser(None if row is None else row[0]).parse_args(argv)
+        args = build_parser().parse_args(argv)  # help and errors come from argparse
     try:
         payload, lines, code = args.fn(args, _load_group(args.group))
     except EngineError as exc:

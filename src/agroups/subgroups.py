@@ -303,7 +303,8 @@ def moved_vertex(g: Element, level: int) -> Optional[Vertex]:
     """The least vertex of the given level that `g` moves, or None."""
     perm, = g.group.level_perm((g,), level)
     moved = next((r for r, image in enumerate(perm) if image != r), None)
-    return None if moved is None else list(g.group.vertices(level))[moved]
+    d = g.group.degree  # the vertex of rank r spells r's base-d digits, each plus one
+    return None if moved is None else tuple(moved // d**k % d + 1 for k in reversed(range(level)))
 
 
 def fixes_level(g: Element, level: int) -> bool:
@@ -312,15 +313,17 @@ def fixes_level(g: Element, level: int) -> bool:
 
 def is_supported_only_at(g: Element, vertex: Union[str, Vertex]) -> bool:
     """True iff `g` fixes level |v| pointwise and every section away from
-    `vertex` on that level is trivial."""
-    group = g.group
-    vertex = group.vertex(vertex)
-    n = len(vertex)
-    if not fixes_level(g, n):
-        return False
-    for w in group.vertices(n):
-        if w != vertex and not decide.is_trivial(g.section(w)):
+    `vertex` on that level is trivial: walking down `vertex`, each section
+    met fixes its first level and is trivial in every slot off the path."""
+    vertex = g.group.vertex(vertex)
+    g.group._check_level(len(vertex))
+    for i in vertex:
+        slots, perm = g.coords()
+        if not perm.is_identity() or not all(
+            decide.is_trivial(s) for j, s in enumerate(slots, 1) if j != i
+        ):
             return False
+        g = slots[i - 1]
     return True
 
 

@@ -13,7 +13,10 @@ section word was expanded once per call: they call `coords` once per
 visit, and they share only `_closure_full`, `_refine` and
 `_canonical_order` with the package.  `rist_reference`
 is an exception too: the word-enumerating witness search that
-`subgroups.rist_elements` replaced, kept with its canonical-key dedupe.
+`subgroups.rist_elements` replaced, kept with its canonical-key dedupe;
+it tests support with `is_supported_only_at_reference`, the whole-level
+check (level permutation, then every section of the level) that the walk
+down the vertex in `subgroups.is_supported_only_at` replaced.
 So are `schreier_reference`, `dedupe_reference` and `first_per_key`: the
 word-based Schreier transversal and generator dedupe that the id-based
 `subgroups._schreier` replaced.  `word_letters_reference` and
@@ -33,14 +36,14 @@ read tuples and cycles with their own copies of the readers of
 
 import re
 from collections import deque
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from agroups import certify, decide
 from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
 from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _shown
 from agroups.core import _NAME, _NAME_RE, _is_number, format_vertex, make_group
-from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, is_supported_only_at
+from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, fixes_level
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
 
 
@@ -332,6 +335,20 @@ def pairwise_ball_sizes(gens, radius):
     return tuple(sizes)
 
 
+def is_supported_only_at_reference(g: Element, vertex: Union[str, Vertex]) -> bool:
+    """True iff `g` fixes level |v| pointwise and every section away from
+    `vertex` on that level is trivial."""
+    group = g.group
+    vertex = group.vertex(vertex)
+    n = len(vertex)
+    if not fixes_level(g, n):
+        return False
+    for w in group.vertices(n):
+        if w != vertex and not decide.is_trivial(g.section(w)):
+            return False
+    return True
+
+
 def rist_reference(gens, vertex, maxlen: int) -> List[Element]:
     """Witness search: nontrivial words of length <= maxlen supported only
     at `vertex`.
@@ -361,7 +378,7 @@ def rist_reference(gens, vertex, maxlen: int) -> List[Element]:
                     continue  # immediate cancellation: word already enumerated
                 u = w * s
                 nxt.append((i, u))
-                if is_supported_only_at(u, vertex) and not decide.is_trivial(u):
+                if is_supported_only_at_reference(u, vertex) and not decide.is_trivial(u):
                     k = decide.canonical_key(u)
                     if k not in keys:
                         keys.add(k)

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from agroups import decide, subgroups
-from agroups.certify import InLevelStab
+from agroups.certify import InLevelStab, ball_sizes
 from agroups.cli import schreier_dot
 from agroups.subgroups import (
     GenSet,
@@ -22,12 +22,13 @@ from agroups.subgroups import (
     stabilizer_gens,
     vertex_stabilizer_gens,
 )
-from agroups.core import BoundExceeded, Element, EngineError, format_vertex
+from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, format_vertex
 from agroups.words import parse_word
 
 from oracles import (
     dedupe_reference,
     first_per_key,
+    is_supported_only_at_reference,
     orbit_images_bruteforce,
     orbits_reference,
     rist_reference,
@@ -94,6 +95,7 @@ def test_level_action_matches_act_reference(grig, bas, odo, rot3, monkeypatch):
         for w, g in gens.items():
             moved = [v for v in verts if g.act(v) != v]
             assert fixes_level(g, level) == (not moved)
+            assert subgroups.moved_vertex(g, level) == (moved[0] if moved else None)
             detail = f"{w} moves {format_vertex(moved[0]) if moved else ''}"
             assert InLevelStab(level, w).evaluate(group).detail == ("" if not moved else detail)
         if level <= 2 and case % 4 == 0:
@@ -210,6 +212,48 @@ def test_supported_only_at(grig, bas):
     assert is_supported_only_at(bas.generator("a"), "2")
     assert not is_supported_only_at(parse_word("b", grig), "2")  # both slots act
     assert not is_supported_only_at(parse_word("a", grig), "1")  # moves the level
+
+
+def test_supported_only_at_matches_whole_level_check(grig, bas, odo, rot3, aleshin, rand4):
+    # the walk down the vertex against the level permutation and every section of the level
+    rng = Random(17)
+    pairs = [(group, pc.random_word(group, rng, 10, minlen=1))
+             for group in (grig, bas, odo, rot3, aleshin, rand4) for _ in range(40)]
+    witnesses = [(grig, "(a b a d)^2", "2"), (grig, "a (a b a d)^2 a^-1", "1"), (bas, "a", "2")]
+    for group, word, vertex in witnesses:
+        base = parse_word(word, group)
+        for u in [group.identity()] + [pc.random_word(group, rng, 4, minlen=1) for _ in range(6)]:
+            g = (u * u).inverse() * base * (u * u)  # squares fix level 1 on a binary alphabet
+            assert is_supported_only_at(g, vertex), (str(g), vertex)
+            pairs.append((group, g))
+    answers, deeper = set(), 0
+    for group, g in pairs:
+        depth = 4 if group.degree == 2 else 3
+        for vertex in (v for n in range(depth + 1) for v in group.vertices(n)):
+            want = is_supported_only_at_reference(g, vertex)
+            assert is_supported_only_at(g, vertex) == want, (group.name, str(g), vertex)
+            answers.add(want)
+            deeper += len(vertex) > 1 and not want and is_supported_only_at_reference(g, vertex[:1])
+    assert answers == {True, False} and deeper  # some pass the first level and fail below it
+    for group, g in [(grig, grig.identity())] + pairs[:240:40]:  # one word per group
+        vertex = (1,) * (17 if group.degree == 2 else 11)  # over VERTEX_CAP vertices on the level
+        with pytest.raises(BoundExceeded) as walk:
+            is_supported_only_at(g, vertex)
+        with pytest.raises(BoundExceeded) as whole:
+            is_supported_only_at_reference(g, vertex)
+        assert str(walk.value) == str(whole.value) and str(VERTEX_CAP) in str(walk.value)
+
+
+def test_rist_checks_each_ball_element_once(grig, bas, monkeypatch):
+    # the search tests support through the module-level function, which the tracer hooks
+    calls = []
+    check = subgroups.is_supported_only_at
+    monkeypatch.setattr(subgroups, "is_supported_only_at", lambda g, v: calls.append(g) or check(g, v))
+    for group, vertex, maxlen in [(grig, "2", 4), (grig, "1.2", 3), (bas, "2", 3)]:
+        gens = GenSet.from_group(group)
+        calls.clear()
+        rist_elements(gens, vertex, maxlen)
+        assert len(calls) == ball_sizes(gens, maxlen)[-1] - 1  # every element but the identity
 
 
 def test_rist_search_basilica(bas):
