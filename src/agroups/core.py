@@ -20,7 +20,10 @@ Letters are 1-based.  Words carry free reduction only; semantic equality
 of the automorphisms they denote lives in :mod:`agroups.decide`.
 
 All values are immutable after construction and all operations are pure,
-so they can be shared freely between concurrent tasks.
+so they can be shared freely between concurrent tasks.  The one exception
+is the cache of letter closures that :func:`agroups.decide.canonical_key`
+fills on a group: it only grows, and whoever fills an entry fills it with
+the same value.
 """
 
 from __future__ import annotations
@@ -246,9 +249,13 @@ class GroupDef:
     the identity), and that section letter's inverse, against which free
     reduction compares.  It also maps the printed text of each letter,
     ``a`` or ``a^-1``, to the letter.
+
+    ``_letter_closures`` starts empty; :func:`agroups.decide.canonical_key`
+    fills it, mapping each letter to the refined section closure it lies
+    in, which holds only letters and the identity.
     """
 
-    __slots__ = ("name", "degree", "_states", "_sig", "_table", "_printed")
+    __slots__ = ("name", "degree", "_states", "_sig", "_table", "_printed", "_letter_closures")
 
     def __init__(self, name: str, degree: int, states: "dict[str, State]"):
         self.name = name
@@ -273,6 +280,7 @@ class GroupDef:
             table[neg[n]] = tuple(backward)
         self._table = table
         self._printed = {_letter_text(letter): letter for letter in table}
+        self._letter_closures: "dict[Letter, tuple]" = {}
 
     # -- states ---------------------------------------------------------
 

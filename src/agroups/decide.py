@@ -19,12 +19,18 @@ refinement (two nodes are equivalent iff they carry equal root
 permutations and letter-wise equivalent children), and the quotient is
 serialized by a breadth-first numbering from the element's own class.
 Two words get the same key exactly when they denote the same
-automorphism.
+automorphism.  The closure of a one-letter word holds only letters and
+the identity, so a group keeps it, refined, for every letter in it
+(`_letter_closure`); each letter's key is numbered from it when first
+asked for.  This is the one thing kept across calls.
 
 The product loops (`order` here, `ball_sizes` and `free_semigroup_check` in
 :mod:`agroups.certify`), `rist_elements` and the Schreier generators of
 :mod:`agroups.subgroups` multiply ids of minimized automaton states, in a
-table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys.
+table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys,
+and a table maps each key it has seen to its id.  A letter's id is read from
+its letter closure, which a table absorbs once; a longer word is absorbed
+from its key's rows.
 A product is found by one row lookup when the products of its sections are
 already known; otherwise a walk over its section pairs settles the pairs
 whose sections have ids, and `_cycles` refines the pairs left on a cycle
@@ -203,8 +209,50 @@ def _canonical_order(cls: List[int], images, edges, start: int):
     return order, rows
 
 
+class _LetterClosure:
+    """The refined section closure of a letter.  Every section of a letter
+    is a letter or the identity, so one closure serves each letter in it;
+    `_letter_closure` keeps it on the group for all of them.  `keys` holds
+    the keys numbered so far, by node, and `refs` are the edges with the
+    identity node as ``~0``, as `_InternTable._absorb` reads them."""
+
+    __slots__ = ("images", "edges", "cls", "refs", "keys")
+
+    def __init__(self, nodes: List[Element], images, edges):
+        self.images, self.edges = images, edges
+        self.cls = _refine(images, edges)
+        self.refs = [tuple([j if nodes[j].letters else ~0 for j in row]) for row in edges]
+        self.keys: Dict[int, tuple] = {}
+
+    def key(self, i: int) -> tuple:
+        """The canonical key of node i, numbered the first time it is asked for."""
+        key = self.keys.get(i)
+        if key is None:
+            key = self.keys[i] = tuple(_canonical_order(self.cls, self.images, self.edges, i)[1])
+        return key
+
+
+def _letter_closure(g: Element) -> Tuple[_LetterClosure, int]:
+    """The letter closure of a one-letter word and the word's node in it.  A
+    group builds a closure the first time one of its letters is asked for,
+    and keeps it for every letter in it that no earlier closure holds."""
+    cache = g.group._letter_closures
+    found = cache.get(g.letters[0])
+    if found is None:
+        nodes, images, edges = _syntactic_closure(g)
+        closure = _LetterClosure(nodes, images, edges)
+        for i, h in enumerate(nodes):
+            if h.letters:
+                cache.setdefault(h.letters[0], (closure, i))
+        found = cache[g.letters[0]]
+    return found
+
+
 def canonical_key(g: Element):
     """A total-ordered key with ``key(g) == key(h)`` iff ``equals(g, h)``."""
+    if len(g.letters) == 1:
+        closure, i = _letter_closure(g)
+        return closure.key(i)
     nodes, images, edges = _syntactic_closure(g)
     cls = _refine(images, edges)
     _, rows = _canonical_order(cls, images, edges, 0)
@@ -264,11 +312,27 @@ class _InternTable:
         self._distinct_images = {row[0]: row[0]}  # one tuple per root image, shared by rows
         self._made = [0]  # 0 and the ids `_cycles` made: every id on a cycle
         self._products: Dict[Tuple[int, int], int] = {}
+        self._by_key: Dict[tuple, int] = {}  # canonical key -> id, filled by `intern`
+        self._absorbed: Dict[_LetterClosure, List[int]] = {}  # letter closure -> its nodes' ids
         self.walks = self.slow = self.refined = 0  # refined: nodes `_cycles` refined
 
     def intern(self, g: Element) -> int:
-        rows = canonical_key(g)
-        return self._absorb([image for image, _ in rows], [kids for _, kids in rows])[0]
+        """The id of `g`, memoized on its canonical key.  A letter's id is read
+        from its letter closure, which the table absorbs once for all the
+        letters in it; a longer word is absorbed from its key's rows."""
+        key = canonical_key(g)
+        x = self._by_key.get(key)
+        if x is None:
+            if len(g.letters) == 1:
+                closure, i = _letter_closure(g)
+                ids = self._absorbed.get(closure)
+                if ids is None:
+                    ids = self._absorbed[closure] = self._absorb(closure.images, closure.refs)
+                x = ids[i]
+            else:
+                x = self._absorb([image for image, _ in key], [kids for _, kids in key])[0]
+            self._by_key[key] = x
+        return x
 
     def mul(self, p: int, q: int) -> int:
         """The id of ``p * q`` (q acts first), memoized on ``(p, q)``.  When

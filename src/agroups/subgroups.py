@@ -216,12 +216,15 @@ class StabilizerGens:
     transversal: Tuple[Tuple[object, Element], ...]
 
 
-def _schreier(gens: GenSet, base: object, apply):
+def _schreier(gens: GenSet, base: object, actions):
     """Breadth-first transversal (frontiers in sorted order), and in the same pass
     the raw Schreier generator t_y^-1 s t_x, y = s(x), of each point x and generator
-    s as ``(id, t_y, s, t_x)``.  Returns the (x, t_x) pairs, the raw list and the table."""
+    s as ``(id, t_y, s, t_x)``; `actions` holds each generator's action on points.
+    A tree edge, where t_y = s t_x, gives the identity and is left out.  Returns
+    the (x, t_x) pairs, the raw list and the table."""
     table = decide._InternTable(gens.group)
-    steps = [(s, table.intern(s), table.intern(s.inverse())) for s in gens.elements]
+    steps = [(s, act, table.intern(s), table.intern(s.inverse()))
+             for s, act in zip(gens.elements, actions)]
     transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
     order, frontier, raw = [], [base], []
     while frontier:
@@ -229,14 +232,16 @@ def _schreier(gens: GenSet, base: object, apply):
         for x in sorted(frontier):
             order.append(x)
             t_x, tid, tinv = transversal[x]
-            for s, sid, sinv in steps:
-                y, st = apply(s, x), table.mul(sid, tid)
-                if y not in transversal:
+            for s, act, sid, sinv in steps:
+                y, st = act(x), table.mul(sid, tid)
+                t_y = transversal.get(y)
+                if t_y is None:
                     transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
                     discovered.append(y)
                     if len(transversal) * len(base) > VERTEX_CAP:
                         raise BoundExceeded(f"transversal exceeded {VERTEX_CAP} vertex entries")
-                raw.append((table.mul(transversal[y][2], st), transversal[y][0], s, t_x))
+                else:
+                    raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
         frontier = discovered
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
@@ -263,9 +268,9 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     verts = tuple(gens.group.vertices(level))
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
     perms = gens.group.level_perm(gens.elements, level)
-    image = {s: perm.__getitem__ for s, perm in zip(gens.elements, perms)}
+    actions = [lambda c, image=perm.__getitem__: tuple(map(image, c)) for perm in perms]
     base = tuple(range(len(verts)))  # the identity configuration
-    transversal, raw, _ = _schreier(gens, base, lambda s, c: tuple(map(image[s], c)))
+    transversal, raw, _ = _schreier(gens, base, actions)
     transversal = tuple((tuple(map(verts.__getitem__, c)), t) for c, t in transversal)
     generators = tuple(_dedupe_gens(gens.group, raw).values())
     return StabilizerGens(gens, level, None, generators, transversal)
@@ -274,7 +279,7 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
 def vertex_stabilizer_gens(gens: GenSet, vertex: Union[str, Vertex]) -> StabilizerGens:
     """Generators of the subgroup fixing one vertex, via Schreier's lemma."""
     vertex = gens.group.vertex(vertex)
-    transversal, raw, _ = _schreier(gens, vertex, Element.act)
+    transversal, raw, _ = _schreier(gens, vertex, [s.act for s in gens.elements])
     generators = tuple(_dedupe_gens(gens.group, raw).values())
     return StabilizerGens(gens, None, vertex, generators, transversal)
 
@@ -287,7 +292,7 @@ def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
     along `vertex`; trivial ones are kept, so the result is never empty.
     """
     vertex = gens.group.vertex(vertex)
-    _, raw, table = _schreier(gens, vertex, Element.act)
+    _, raw, table = _schreier(gens, vertex, [s.act for s in gens.elements])
     first: Dict[int, Element] = {}
     for x, g in _dedupe_gens(gens.group, raw).items():
         for k in vertex:

@@ -11,7 +11,9 @@ whole word.  `is_trivial_reference`, `section_closure_reference`,
 of `Element.coords` in `agroups.decide` as they were before each distinct
 section word was expanded once per call: they call `coords` once per
 visit, and they share only `_closure_full`, `_refine` and
-`_canonical_order` with the package.  `rist_reference`
+`_canonical_order` with the package.  So does `canonical_key_reference`,
+the key of a word's own closure, which a letter's key kept on its group
+must equal.  `rist_reference`
 is an exception too: the word-enumerating witness search that
 `subgroups.rist_elements` replaced, kept with its canonical-key dedupe;
 it tests support with `is_supported_only_at_reference`, the whole-level
@@ -129,6 +131,15 @@ def _syntactic_closure_reference(g: Element):
         edges.append(tuple(row))
         i += 1
     return nodes, images, edges
+
+
+def canonical_key_reference(g: Element) -> tuple:
+    """`decide.canonical_key` as it was before a letter's key came from a
+    closure kept on its group: one closure of `g` alone per call."""
+    nodes, images, edges = _syntactic_closure_reference(g)
+    cls = decide._refine(images, edges)
+    _, rows = decide._canonical_order(cls, images, edges, 0)
+    return tuple(rows)
 
 
 def section_closure_reference(g: Element) -> decide.SectionClosure:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -11,6 +12,7 @@ import property_checks as pc
 from oracles import (
     activity_oracle,
     activity_sequence_reference,
+    canonical_key_reference,
     fixes_all_vertices,
     is_trivial_reference,
     portrait_reference,
@@ -56,6 +58,82 @@ def test_canonical_key_orders_and_dedups(grig):
     key_b = decide.canonical_key(grig.generator("b"))
     assert (key_a < key_b) != (key_b < key_a)  # totally ordered
     assert len({key_a, key_b}) == 2  # hashable
+
+
+def _fresh(group):
+    """An equal GroupDef whose letter closures are not built yet."""
+    return make_group(group.degree, [(n, *group.state(n)) for n in group.state_names], group.name)
+
+
+def _letters(group):
+    return [group.element([(n, e)]) for n in group.state_names for e in (1, -1)]
+
+
+def test_letter_keys_match_their_own_closures(grig, bas, odo, rot3, aleshin, rand4):
+    # a letter's key is numbered in whichever letter closure its group built first
+    rng = Random(18)
+    for group in (grig, bas, odo, rot3, aleshin, rand4):
+        want = {x.letters: canonical_key_reference(x) for x in _letters(group)}
+        for _ in range(4):
+            letters = _letters(_fresh(group))
+            rng.shuffle(letters)
+            assert {x.letters: decide.canonical_key(x) for x in letters} == want, group.name
+        assert {x.letters: decide.canonical_key(x) for x in _letters(group)} == want, group.name
+
+
+def test_intern_table_splits_letters_as_equals(grig, bas, odo, rot3, aleshin, rand4):
+    # into an empty table and into one that already holds words, in a shuffled order
+    rng = Random(18)
+    for group in (grig, bas, odo, rot3, aleshin, rand4):
+        for words in (0, 3):
+            group = _fresh(group)
+            table = decide._InternTable(group)
+            for _ in range(words):
+                table.intern(pc.random_word(group, rng, 2))
+            letters = _letters(group)
+            rng.shuffle(letters)
+            ids = [table.intern(x) for x in letters]
+            assert all(ids), group.name
+            for (x, p), (y, q) in combinations(zip(letters, ids), 2):
+                assert (p == q) == decide.equals(x, y), (group.name, x, y)
+                assert table.mul(p, q) == table.intern(x * y), (group.name, x, y)
+
+
+def test_letters_enter_a_table_by_their_closures(grig, bas, monkeypatch):
+    # grigorchuk's letters have the closures {a, 1} and {b, a, c, d, 1}, and only the
+    # cycle b -> c -> d -> b takes a slow path; basilica's letters are not involutions,
+    # so both {a, b, 1} and {a^-1, b^-1, 1} are absorbed, each with a cycle
+    expanded = Counter()
+    coords = Element.coords
+
+    def counting(self):
+        expanded[self.letters] += 1
+        return coords(self)
+
+    monkeypatch.setattr(Element, "coords", counting)
+    for group, slow in ((grig, 1), (bas, 2)):
+        group = _fresh(group)
+        first, second = decide._InternTable(group), decide._InternTable(group)
+        ids = [first.intern(x) for x in _letters(group)]
+        assert first.slow == slow and expanded, group.name
+        expanded.clear()
+        assert [second.intern(x) for x in _letters(group)] == ids, group.name
+        assert second.slow == slow and not expanded, group.name  # the group keeps the closures
+
+
+def test_letter_closure_is_capped(grig, monkeypatch):
+    # b's closure holds 5 words; nothing is kept when it trips the cap, so a retry trips it too
+    group = _fresh(grig)
+    monkeypatch.setattr(decide, "CLOSURE_CAP", 3)
+    b = group.generator("b")
+    with pytest.raises(BoundExceeded) as earlier:
+        canonical_key_reference(b)
+    for call in (lambda: decide.canonical_key(b), lambda: decide._InternTable(group).intern(b)) * 2:
+        with pytest.raises(BoundExceeded) as caught:
+            call()
+        assert str(caught.value) == str(earlier.value) == "section closure exceeded 3 nodes"
+    monkeypatch.undo()
+    assert decide.canonical_key(b) == canonical_key_reference(b)
 
 
 def test_order(grig, bas, odo):
