@@ -22,8 +22,8 @@ of the automorphisms they denote lives in :mod:`agroups.decide`.
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between concurrent tasks.  The one exception
 is the cache of letter closures that :func:`agroups.decide.canonical_key`
-fills on a group: it only grows, and whoever fills an entry fills it with
-the same value.
+fills on a group: it only grows, and an entry gives the same keys
+whichever call filled it.
 """
 
 from __future__ import annotations
