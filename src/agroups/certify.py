@@ -14,14 +14,13 @@ the interned automaton ids of :mod:`agroups.decide`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product, repeat
 from string import Formatter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
-from .core import _shown, format_cycles, format_vertex
+from .core import _Record, _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -51,8 +50,7 @@ class UnknownGroup(EngineError):
     """The certificate names a different group than the one supplied."""
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     assertion: "Assertion"
     passed: bool
     detail: str = ""
@@ -65,13 +63,14 @@ _WRITE = {
 }
 
 
-class Assertion:
+class Assertion(_Record):
     """Base class; subclasses set `kind` and `form` and implement `evaluate`.
 
     `form` is the line after the keyword: ``{field}`` or ``{field:part}``
-    for each dataclass field in order (a word if no part is named), and the
-    text between them.  `describe` writes it and `formats.parse_certificate`
-    reads it, with the parts that `formats` lists."""
+    for each field in constructor order (a word if no part is named), and
+    the text between them.  The fields are the names in `form`, so a
+    subclass declares none.  `describe` writes the line and
+    `formats.parse_certificate` reads it, with the parts that `formats` lists."""
 
     kind = "assertion"
     form = ""
@@ -82,6 +81,7 @@ class Assertion:
         cls.layout = tuple(
             (text, name, part or "word") for text, name, part, _ in Formatter().parse(cls.form)
         )
+        cls._fields = tuple(name for _, name, _ in cls.layout)
 
     def describe(self) -> str:
         return self.kind + " " + "".join(
@@ -95,9 +95,7 @@ class Assertion:
         return CheckResult(self, passed, "" if passed else detail)
 
 
-@dataclass(frozen=True)
 class Trivial(Assertion):
-    word: str
     kind = "trivial"
     form = "{word}"
 
@@ -106,10 +104,7 @@ class Trivial(Assertion):
         return self._result(decide.is_trivial(g), f"{self.word} is not trivial")
 
 
-@dataclass(frozen=True)
 class Equal(Assertion):
-    left: str
-    right: str
     kind = "equal"
     form = "{left} = {right}"
 
@@ -122,13 +117,10 @@ class Equal(Assertion):
         )
 
 
-@dataclass(frozen=True)
 class CoordsIs(Assertion):
-    """Slot tuple compared semantically, root permutation compared exactly."""
+    """Slot tuple compared semantically, root permutation compared exactly;
+    `cycles` None is the identity."""
 
-    word: str
-    slots: Tuple[str, ...]
-    cycles: Optional[Tuple[Tuple[int, ...], ...]]  # None = identity
     kind = "coords"
     form = "{word} = {slots:tuple} {cycles:cycles}"
 
@@ -147,10 +139,7 @@ class CoordsIs(Assertion):
         return self._result(True)
 
 
-@dataclass(frozen=True)
 class InLevelStab(Assertion):
-    level: int
-    word: str
     kind = "in_level_stab"
     form = "{level:level} : {word}"
 
@@ -162,10 +151,7 @@ class InLevelStab(Assertion):
         )
 
 
-@dataclass(frozen=True)
 class SupportedOnlyAt(Assertion):
-    vertex: str
-    word: str
     kind = "supported_only_at"
     form = "{vertex:vertex} : {word}"
 
@@ -175,9 +161,7 @@ class SupportedOnlyAt(Assertion):
         return self._result(ok, f"{self.word} is not supported only at {self.vertex}")
 
 
-@dataclass(frozen=True)
 class Transitive(Assertion):
-    depth: int
     kind = "transitive"
     form = "{depth:depth}"
 
@@ -189,13 +173,9 @@ class Transitive(Assertion):
         )
 
 
-@dataclass(frozen=True)
 class ProjectionWitness(Assertion):
     """`stab_word` fixes the vertex and its section there equals `target`."""
 
-    vertex: str
-    stab_word: str
-    target: str
     kind = "projection_witness"
     form = "{vertex:vertex} : {stab_word} -> {target}"
 
@@ -212,12 +192,9 @@ class ProjectionWitness(Assertion):
         )
 
 
-@dataclass(frozen=True)
 class MemberByExpression(Assertion):
     """Normal-closure membership, certified by an explicit expression."""
 
-    word: str
-    expression: str
     kind = "member_by_expression"
     form = "{word} = {expression}"
 
@@ -230,11 +207,7 @@ class MemberByExpression(Assertion):
         )
 
 
-@dataclass(frozen=True)
 class DistinctPositiveWords(Assertion):
-    gen_words: Tuple[str, ...]
-    maxlen: int
-    expected: int
     kind = "distinct_positive_words"
     form = "{gen_words:tuple} maxlen {maxlen:count} expect {expected:count}"
 
@@ -252,19 +225,21 @@ class DistinctPositiveWords(Assertion):
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     name: str
     group_name: Optional[str]
     assertions: Tuple[Assertion, ...]
 
 
-@dataclass
-class Report:
-    suite: str
-    group: str
-    results: List[CheckResult] = field(default_factory=list)
-    runtime: float = 0.0
+class Report(_Record):
+    """The results of one suite, filled in by `run_suite`."""
+
+    __slots__ = _fields = ("suite", "group", "results", "runtime")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None  # mutable
+
+    def __init__(self, suite: str, group: str, results=None, runtime: float = 0.0):
+        super().__init__(suite, group, [] if results is None else results, runtime)
 
     @property
     def passed(self) -> bool:
@@ -325,8 +300,7 @@ def run_suite(cert: Certificate, group: GroupDef) -> Report:
 # -- growth experiments --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeSemigroupResult:
+class FreeSemigroupResult(NamedTuple):
     maxlen: int
     total_words: int
     distinct: int

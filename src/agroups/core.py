@@ -235,6 +235,45 @@ class State(NamedTuple):
     perm: Perm
 
 
+class _Record:
+    """Base of the records that are not tuples.  `_fields` names the values
+    in constructor order; a record is equal, hashed and written by them, as
+    ``Name(field=value, ...)``, and refuses assignment.  Nothing is generated
+    per class, so defining one costs no time at import."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class GroupDef:
     """A validated wreath-recursion presentation.
 

@@ -40,8 +40,8 @@ The nodes one table's slow paths refine are bounded by REFINE_CAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords, _shown
 
@@ -259,8 +259,7 @@ def canonical_key(g: Element):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class SectionClosure:
+class SectionClosure(NamedTuple):
     """All distinct sections of one element, with letter-labeled edges.
 
     ``elements[0]`` is the element itself; ``edges[i][k-1]`` indexes the
@@ -397,7 +396,11 @@ class _InternTable:
             yield sphere
 
     def log(self, job: str) -> None:
-        import logging  # here, so that importing the package does not load it
+        # a process that never imported logging has set no handler or level that
+        # would take the record, and loading it costs a cold process 4-6 ms
+        if "logging" not in sys.modules:
+            return
+        import logging
 
         logging.getLogger("agroups").debug(
             "%s: %d states, %d memoized products, %d walks, %d slow paths",
@@ -473,8 +476,7 @@ class _InternTable:
 # -- order ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Exact order when found within the bound, otherwise the bound."""
 
     value: Optional[int]
@@ -506,8 +508,7 @@ def order(g: Element, bound: int = 64) -> OrderResult:
 # -- portraits ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """Finite tree of root permutations; leaves keep the residual element.
 
     The child at letter i describes the subtree at vertex i, i.e. the

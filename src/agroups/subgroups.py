@@ -12,8 +12,7 @@ data and are certified elsewhere through explicit witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import decide
 from .core import (
@@ -25,6 +24,7 @@ from .core import (
     MixedGroups,
     VERTEX_CAP,
     Vertex,
+    _Record,
     format_vertex,
     make_group,
 )
@@ -68,22 +68,21 @@ class NotVertexFixing(EngineError):
     """A generator was required to fix the base vertex but moves it."""
 
 
-@dataclass(frozen=True)
-class GenSet:
-    """A nonempty list of named elements of one group."""
+class GenSet(_Record):
+    """A nonempty list of named elements of one group.  Not a tuple: its
+    length is its number of elements."""
 
-    group: GroupDef
-    names: Tuple[str, ...]
-    elements: Tuple[Element, ...]
+    __slots__ = _fields = ("group", "names", "elements")
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, group: GroupDef, names: Tuple[str, ...], elements: Tuple[Element, ...]):
+        if not elements:
             raise EngineError("generating set must be nonempty")
-        if len(self.names) != len(self.elements):
+        if len(names) != len(elements):
             raise EngineError("names and elements differ in length")
-        for e in self.elements:
-            if e.group != self.group:
+        for e in elements:
+            if e.group != group:
                 raise MixedGroups("generating set mixes groups")
+        super().__init__(group, names, elements)
 
     @classmethod
     def from_group(cls, group: GroupDef) -> "GenSet":
@@ -110,8 +109,7 @@ class GenSet:
 # -- orbits -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitLevel:
+class OrbitLevel(NamedTuple):
     """Orbit partition of one level; blocks sorted by their least vertex."""
 
     level: int
@@ -129,8 +127,7 @@ class OrbitLevel:
         raise KeyError(v)
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(NamedTuple):
     """Per-level orbit partitions with the parent map between orbit sets."""
 
     gens: GenSet
@@ -200,8 +197,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
 # -- stabilizers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilizerGens:
+class StabilizerGens(NamedTuple):
     """Schreier generators of a level or vertex stabilizer, one per automorphism.
 
     `transversal` records, per reached point, a word moving the base point
@@ -361,8 +357,7 @@ def rist_elements(
 # -- orbit chains ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitChainReport:
+class OrbitChainReport(NamedTuple):
     """Orbit counts below a vertex and the stabilized chain, if any.
 
     `stable_level` is the least level from which the counts stay constant
@@ -459,8 +454,7 @@ def embed_element(
     return egroup.element(tuple((f"{n}@{tag}", e) for n, e in g.letters))
 
 
-@dataclass(frozen=True)
-class CommutatorWitness:
+class CommutatorWitness(NamedTuple):
     """Result of the commutator construction, with its verification."""
 
     egroup: GroupDef  # original group extended by the embedded states

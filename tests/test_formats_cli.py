@@ -659,6 +659,32 @@ def _env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
+_MODULES_LOADED = """
+import json, sys
+before = set(sys.modules)  # what site loaded does not count
+import agroups.cli
+imported = set(sys.modules) - before
+agroups.cli.main(["ball", "--group", "basilica", "--radius", "3"])
+ran = set(sys.modules) - before
+print(json.dumps([sorted(imported), sorted(ran)]))
+"""
+
+
+def test_import_and_ball_load_no_heavy_modules():
+    # every check runs as a new process, which pays for each module the import loads:
+    # dataclasses brings inspect, ast, dis and tokenize, and logging costs 4-6 ms cold
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_LOADED],
+        capture_output=True, encoding="utf-8", env=_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *ball, last = proc.stdout.splitlines()
+    imported, ran = map(set, json.loads(last))
+    assert ball and "agroups.cli" in imported
+    assert not {"dataclasses", "inspect"} & imported, imported
+    assert "logging" not in ran, ran
+
+
 def _limited(argv, tmp_path):
     """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
     limit = 512 << 20
