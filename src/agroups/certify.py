@@ -20,7 +20,7 @@ from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
-from .core import _Record, _shown, format_cycles, format_vertex
+from .core import _Record, _clip, _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -316,7 +316,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     whose new words would bring the ids held past `decide.BALL_CAP`.
     """
     if maxlen < 1:
-        raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
+        raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(e) for e in gens.elements]
     first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
@@ -355,9 +355,9 @@ def ball_sizes(
     lower `decide.BALL_CAP` but not raise it.
     """
     if radius < 0:
-        raise BadArgument(f"radius must be nonnegative, got {radius}")
+        raise BadArgument(f"radius must be nonnegative, got {_clip(str(radius))}")
     if not 1 <= max_elements <= decide.BALL_CAP:
-        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {max_elements}")
+        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_clip(str(max_elements))}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     sizes = [1]

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
-from .core import EngineError, GroupDef, _shown, format_vertex
+from .core import EngineError, GroupDef, _clip, _shown, format_vertex
 from .decide import Portrait
 from .subgroups import GenSet, OrbitTable
 from .words import parse_word
@@ -338,7 +338,7 @@ def cmd_closure(args, group: GroupDef) -> Result:
 def cmd_orbits(args, group: GroupDef) -> Result:
     level = args.depth if args.level is None else args.level
     if args.dot and not 0 <= level <= args.depth:
-        raise EngineError(f"--level must lie in 0..{args.depth}, got {level}")
+        raise EngineError(f"--level must lie in 0..{args.depth}, got {_clip(str(level))}")
     table = subgroups.orbits(_gens(args, group), args.depth)
     if args.dot:
         return None, [schreier_dot(table, level)], 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from array import array
+from itertools import product
 from collections.abc import Mapping  # typing.Mapping's isinstance check takes 3x as long
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -128,6 +129,12 @@ def _clip(text: str) -> str:
 def _shown(value: object) -> str:
     """repr(value) for an error message, clipped like `_clip`."""
     return _clip(repr(value))
+
+
+def _level_over(degree: int, level: int, cap: int) -> bool:
+    """Whether level `level` of the max(degree, 2)-ary tree holds over `cap` vertices."""
+    # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
+    return max(degree, 2) ** min(level, cap) > cap
 
 
 def _letter_text(letter: Letter) -> str:
@@ -369,18 +376,13 @@ class GroupDef:
         return v
 
     def _check_level(self, level: int) -> None:
-        # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
-        if max(self.degree, 2) ** min(level, VERTEX_CAP) > VERTEX_CAP:
-            raise BoundExceeded(f"level {level} has over {VERTEX_CAP} vertices")
+        if _level_over(self.degree, level, VERTEX_CAP):
+            raise BoundExceeded(f"level {_clip(str(level))} has over {VERTEX_CAP} vertices")
 
     def vertices(self, level: int) -> Iterator[Vertex]:
         """All level-`level` vertices in lexicographic order."""
         self._check_level(level)
-        letters = range(1, self.degree + 1)
-        stack = [()]
-        for _ in range(level):
-            stack = [v + (i,) for v in stack for i in letters]
-        yield from stack
+        yield from product(range(1, self.degree + 1), repeat=level)
 
     # -- the level action -------------------------------------------------
 
@@ -390,52 +392,48 @@ class GroupDef:
         follow :meth:`vertices`).  The arrays are shared; do not mutate them.
 
         A letter's permutation of level n follows from its table entry and its
-        sections' permutations of level n - 1: rank(i w) is
-        (i - 1) d^(n-1) + rank(w).  Level n compiles only the letters within
-        depth - n section steps of the words, and each level is checked
-        against VERTEX_CAP before it is built.
+        sections' permutations of level n - 1, as rank(i w) = (i - 1) d^(n-1) +
+        rank(w).  Each is built on first use and kept for the call; each level
+        is checked against VERTEX_CAP before it is built.
         """
-        d, table = self.degree, self._table
-        dist = dict.fromkeys((x for w in words for x in w.letters), 0)  # section steps
-        frontier = list(dist)
-        for k in range(1, depth + 1):
-            reached = (s for x in frontier for _, s, _ in table[x] if s is not None and s not in dist)
-            frontier = list(dict.fromkeys(reached))
-            dist.update(dict.fromkeys(frontier, k))
-        ident = array("i", (0,))
-        perms = dict.fromkeys(dist, ident)
+        perms = {}
         for n in range(depth + 1):
-            if n:
-                self._check_level(n)
-                size, ident = len(ident), array("i", range(d * len(ident)))
-                below, perms = perms, {}
-                for x, k in dist.items():
-                    if k <= depth - n:
-                        perm = perms[x] = array("i")
-                        for j, s, _ in table[x]:
-                            offset = j * size
-                            if s is None:
-                                perm += ident[offset : offset + size]
-                            else:
-                                perm.fromlist([offset + r for r in below[s]])
-            yield tuple(self._compose(perms, w.letters, ident) for w in words)
-
-    @staticmethod
-    def _compose(perms: "dict[Letter, array]", letters: Tuple[Letter, ...], ident: array) -> array:
-        """The permutation of a word: its letters' permutations, right to left."""
-        if not letters:
-            return ident
-        out = perms[letters[-1]]
-        for x in reversed(letters[:-1]):
-            out = array("i", map(perms[x].__getitem__, out))
-        return out
+            yield self._level(words, n, perms)
 
     def level_perm(self, words: Sequence["Element"], level: int) -> Tuple[array, ...]:
         """Each word's permutation of level `level` alone (see :meth:`level_perms`)."""
-        self._check_level(level)  # so that a refusal names `level`, not the first level over the cap
-        for perms in self.level_perms(words, level):
-            pass
-        return perms
+        return self._level(words, level, {})
+
+    def _level(self, words: Sequence["Element"], n: int, perms: dict) -> Tuple[array, ...]:
+        """Each word's permutation of level n.  ``perms[x, m]`` memoizes letter x's
+        permutation of level m; x = None is the identity, whose slices are identity blocks."""
+        self._check_level(n)
+        d, table = self.degree, self._table
+
+        def perm(x: Optional[Letter], m: int) -> array:
+            out = perms.get((x, m))
+            if out is None:
+                if x is None or not m:
+                    out = array("i", range(d ** m))
+                else:
+                    size, ident = d ** (m - 1), perm(None, m)
+                    out = array("i")
+                    for j, s, _ in table[x]:
+                        offset = j * size
+                        if s is None:
+                            out += ident[offset : offset + size]
+                        else:
+                            out.fromlist([offset + r for r in perm(s, m - 1)])
+                perms[x, m] = out
+            return out
+
+        composed = []
+        for w in words:  # each word's letters compose right to left
+            p = perm(w.letters[-1] if w.letters else None, n)
+            for x in w.letters[-2::-1]:
+                p = array("i", map(perm(x, n).__getitem__, p))
+            composed.append(p)
+        return tuple(composed)
 
     # -- misc -------------------------------------------------------------
 
@@ -477,7 +475,7 @@ def make_group(
     the only form that can detect duplicate names).
     """
     if alphabet_size < 1:
-        raise EngineError(f"alphabet size must be at least 1, got {alphabet_size}")
+        raise EngineError(f"alphabet size must be at least 1, got {_clip(str(alphabet_size))}")
     if alphabet_size > VERTEX_CAP:  # level 1 has one vertex per letter
         raise BoundExceeded(
             f"alphabet size {_clip(str(alphabet_size))} puts over {VERTEX_CAP} vertices on level 1"

@@ -43,7 +43,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords, _shown
+from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords
+from .core import _clip, _level_over, _shown
 
 __all__ = [
     "OrderResult",
@@ -248,15 +249,19 @@ def _letter_closure(g: Element) -> Tuple[_LetterClosure, int]:
     return found
 
 
+def _minimized(g: Element):
+    """`g`'s section closure, its class per node, and its classes numbered from `g`."""
+    nodes, images, edges = _syntactic_closure(g)
+    cls = _refine(images, edges)
+    return (nodes, cls, *_canonical_order(cls, images, edges, 0))
+
+
 def canonical_key(g: Element):
     """A total-ordered key with ``key(g) == key(h)`` iff ``equals(g, h)``."""
     if len(g.letters) == 1:
         closure, i = _letter_closure(g)
         return closure.key(i)
-    nodes, images, edges = _syntactic_closure(g)
-    cls = _refine(images, edges)
-    _, rows = _canonical_order(cls, images, edges, 0)
-    return tuple(rows)
+    return tuple(_minimized(g)[3])
 
 
 class SectionClosure(NamedTuple):
@@ -276,9 +281,7 @@ class SectionClosure(NamedTuple):
 
 
 def section_closure(g: Element) -> SectionClosure:
-    nodes, images, edges = _syntactic_closure(g)
-    cls = _refine(images, edges)
-    order, rows = _canonical_order(cls, images, edges, 0)
+    nodes, cls, order, rows = _minimized(g)
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
@@ -493,9 +496,9 @@ class OrderResult(NamedTuple):
 def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     if bound < 1:
-        raise BadArgument(f"bound must be positive, got {bound}")
+        raise BadArgument(f"bound must be positive, got {_clip(str(bound))}")
     if bound > ORDER_BOUND_CAP:
-        raise BoundExceeded(f"bound {bound} exceeds cap {ORDER_BOUND_CAP}")
+        raise BoundExceeded(f"bound {_clip(str(bound))} exceeds cap {ORDER_BOUND_CAP}")
     table = _InternTable(g.group)
     x = table.intern(g)
     power, n = x, 1
@@ -529,10 +532,9 @@ class Portrait(NamedTuple):
 
 def portrait(g: Element, depth: int) -> Portrait:
     if depth < 0:
-        raise BadArgument(f"depth must be nonnegative, got {depth}")
-    # base ** cap > cap for any base >= 2, so min() keeps the verdict and the power small
-    if max(g.group.degree, 2) ** min(depth, PORTRAIT_LEAF_CAP) > PORTRAIT_LEAF_CAP:
-        raise BoundExceeded(f"depth {depth} gives over {PORTRAIT_LEAF_CAP} leaves")
+        raise BadArgument(f"depth must be nonnegative, got {_clip(str(depth))}")
+    if _level_over(g.group.degree, depth, PORTRAIT_LEAF_CAP):
+        raise BoundExceeded(f"depth {_clip(str(depth))} gives over {PORTRAIT_LEAF_CAP} leaves")
     expand = _Expansions()
 
     def draw(h: Element, depth: int) -> Portrait:
@@ -555,9 +557,9 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     share its expansions, so each distinct section word is expanded once.
     """
     if levels < 0:
-        raise BadArgument(f"levels must be nonnegative, got {levels}")
+        raise BadArgument(f"levels must be nonnegative, got {_clip(str(levels))}")
     if levels > ACTIVITY_LEVELS_CAP:
-        raise BoundExceeded(f"levels {levels} exceeds cap {ACTIVITY_LEVELS_CAP}")
+        raise BoundExceeded(f"levels {_clip(str(levels))} exceeds cap {ACTIVITY_LEVELS_CAP}")
     expand = _Expansions()
     memo: Dict[tuple, bool] = {}
 

@@ -25,6 +25,8 @@ from .core import (
     VERTEX_CAP,
     Vertex,
     _Record,
+    _clip,
+    _shown,
     format_vertex,
     make_group,
 )
@@ -149,9 +151,9 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
     the generators alone already yields the full group orbits.
     """
     if depth < 1:
-        raise BadArgument(f"depth must be at least 1, got {depth}")
+        raise BadArgument(f"depth must be at least 1, got {_clip(str(depth))}")
     if depth > ORBIT_DEPTH_CAP:
-        raise BoundExceeded(f"depth {depth} exceeds cap {ORBIT_DEPTH_CAP}")
+        raise BoundExceeded(f"depth {_clip(str(depth))} exceeds cap {ORBIT_DEPTH_CAP}")
     group = gens.group
     levels = [OrbitLevel(0, (((),),), ())]
     prev_assigned = [0]  # orbit index per rank of the previous level
@@ -260,7 +262,7 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     the finite orbit of configurations.
     """
     if level < 0:
-        raise BadArgument(f"level must be nonnegative, got {level}")
+        raise BadArgument(f"level must be nonnegative, got {_clip(str(level))}")
     verts = tuple(gens.group.vertices(level))
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
     perms = gens.group.level_perm(gens.elements, level)
@@ -340,7 +342,7 @@ def rist_elements(
     membership decision.
     """
     if maxlen < 1:
-        raise BadArgument(f"maxlen must be at least 1, got {maxlen}")
+        raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
     group = gens.group
     vertex = group.vertex(vertex)
     letters = [x for e in gens.elements for x in (e, e.inverse())]
@@ -387,7 +389,7 @@ def orbit_chain(
     for name, e in gens.items():
         if e.act(vertex) != vertex:
             raise NotVertexFixing(
-                f"generator {name!r} moves vertex {format_vertex(vertex)}"
+                f"generator {_shown(name)} moves vertex {_clip(format_vertex(vertex))}"
             )
         sections.append(e.section(vertex))
     below = GenSet(group, gens.names, tuple(sections))
@@ -479,15 +481,15 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
     if w.group != group:
         raise MixedGroups("witness element must live in the same group as g")
     if not (1 <= k <= d and 1 <= m <= d):
-        raise BadArgument(f"slot indices must lie in 1..{d}, got k={k}, m={m}")
+        raise BadArgument(f"slot indices must lie in 1..{d}, got k={_shown(k)}, m={_shown(m)}")
     cs = g.coords()
     if not cs.perm.is_identity():
-        raise NotLevelFixing(f"element {g} does not fix level 1")
+        raise NotLevelFixing(f"element {_clip(str(g))} does not fix level 1")
     inner = g.section((k,))
     s = inner.coords().perm
     if s(m) == m:
         raise PermFixesM(
-            f"section at letter {k} has root permutation {s}, which fixes {m}"
+            f"section at letter {k} has root permutation {_clip(str(s))}, which fixes {m}"
         )
     egroup = embedded_group(group, (k, m))
     g_lift = egroup.element(g.letters)

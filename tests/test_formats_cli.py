@@ -600,6 +600,62 @@ def test_errors_clip_echoed_input(tmp_path, capsys, argv, text):
     assert "…" in err
 
 
+NINES = "9" * 600
+WIDE = (  # section b of a at letter 1 has a root permutation of 99 letters that fixes 1
+    "group wide\nalphabet 100\ngen a = (b" + ", 1" * 99 + ")\n"
+    "gen b = (" + ", ".join("1" * 100) + ") (" + " ".join(map(str, range(2, 101))) + ")\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["commutator-witness", *G, "--word", "a" + " b" * 499, "--slot", "1", "--inner", "2",
+          "--witness", "a"], None),
+        (["commutator-witness", "--word", "a", "--slot", "1", "--inner", "1", "--witness", "a",
+          "--group"], WIDE),
+        (["commutator-witness", *G, "--word", "b", "--slot", "1", "--inner", NINES,
+          "--witness", "a"], None),
+        (["chain", *G, "--gens", " ".join("a" * 301), "--vertex", "1", "--depth", "2"], None),
+        (["chain", *G, "--gens", "a", "--vertex", ".".join("1" * 200), "--depth", "2"], None),
+        (["chain", *G, "--gens", "b", "--vertex", "1", "--depth", NINES], None),
+        (["orbits", *G, "--depth", "-" + NINES], None),
+        (["orbits", *G, "--depth", "3", "--dot", "--level", NINES], None),
+        (["stab", *G, "--level", NINES], None),
+        (["stab", *G, "--level", "-" + NINES], None),
+        (["rist", *G, "--vertex", "2", "--maxlen", "-" + NINES], None),
+        (["order", *G, "--word", "a", "--bound", NINES], None),
+        (["order", *G, "--word", "a", "--bound", "-" + NINES], None),
+        (["portrait", *G, "--word", "b", "--depth", NINES], None),
+        (["portrait", *G, "--word", "b", "--depth", "-" + NINES], None),
+        (["activity", *G, "--word", "b", "--levels", NINES], None),
+        (["activity", *G, "--word", "b", "--levels", "-" + NINES], None),
+        (["ball", *G, "--radius", "-" + "9" * 3000], None),
+        (["ball", *G, "--radius", "2", "--cap", NINES], None),
+        (["freesemigroup", *G, "--maxlen", "-" + NINES], None),
+        (["certify", *G, "--suite"], f"suite s\ntransitive {NINES}\n"),
+        (["certify", *G, "--suite"], f"suite s\nin_level_stab {NINES} : a\n"),
+    ],
+    ids=[
+        "witness word", "witness permutation", "witness slot", "chain gens", "chain vertex",
+        "chain depth", "orbits depth", "dot level", "stab level", "stab negative level",
+        "rist maxlen", "order bound", "order negative bound", "portrait depth",
+        "portrait negative depth", "activity levels", "activity negative levels",
+        "ball radius", "ball cap", "freesemigroup maxlen", "cert transitive",
+        "cert in_level_stab",
+    ],
+)
+def test_errors_clip_echoed_values(tmp_path, capsys, argv, text):
+    # each echoed a word, vertex, permutation or number whole: lines of 201 to 3,046 characters
+    if text is not None:
+        path = tmp_path / ("g.agt" if text.startswith("group") else "s.cert")
+        path.write_text(text, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("agt: error: ") and err.count("\n") == 1 and len(err) <= 200, err
+
+
 @pytest.mark.parametrize("option", ["--group", "--suite"])
 @pytest.mark.parametrize("kind", ["directory", "binary"])
 def test_unreadable_files_exit_2(tmp_path, capsys, option, kind):

@@ -22,7 +22,7 @@ from agroups.subgroups import (
     stabilizer_gens,
     vertex_stabilizer_gens,
 )
-from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, format_vertex
+from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, format_vertex, make_group
 from agroups.words import parse_word
 
 from oracles import (
@@ -77,11 +77,11 @@ def test_orbits_match_bruteforce_images(grig, bas):
         assert set(block) == images
 
 
-def test_level_action_matches_act_reference(grig, bas, odo, rot3, monkeypatch):
+def test_level_action_matches_act_reference(grig, bas, odo, rot3, aleshin, rand4, monkeypatch):
     # every level-wide caller reads compiled rank permutations; one act per vertex is the reference
     rng = Random(53)
     for case in range(160):
-        group = rng.choice([grig, bas, odo, rot3])
+        group = rng.choice([grig, bas, odo, rot3, aleshin, rand4])
         words = [str(pc.random_word(group, rng, 6)) for _ in range(rng.randint(1, 4))]
         words += rng.sample(["1", words[0], *group.state_names], rng.randint(0, 2))
         rng.shuffle(words)
@@ -98,7 +98,8 @@ def test_level_action_matches_act_reference(grig, bas, odo, rot3, monkeypatch):
             assert subgroups.moved_vertex(g, level) == (moved[0] if moved else None)
             detail = f"{w} moves {format_vertex(moved[0]) if moved else ''}"
             assert InLevelStab(level, w).evaluate(group).detail == ("" if not moved else detail)
-        if level <= 2 and case % 4 == 0:
+        # rand4's slow paths trip decide.REFINE_CAP, so the stabilizers keep to the first four
+        if level <= 2 and case % 4 == 0 and group in (grig, bas, odo, rot3):
             st = stabilizer_gens(gens, level)
             transversal, raw = schreier_reference(gens, tuple(verts), lambda s, c: tuple(map(s.act, c)))
             assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
@@ -116,6 +117,55 @@ def test_level_action_matches_act_reference(grig, bas, odo, rot3, monkeypatch):
             except NotVertexFixing as exc:
                 want = str(exc)
         assert got == want
+
+
+def test_level_perms_match_level_perm(grig, bas, odo, rot3, aleshin, rand4):
+    # level_perms keeps one memo over its levels; level_perm builds its own level alone
+    rng = Random(71)
+    for _ in range(40):
+        group = rng.choice([grig, bas, odo, rot3, aleshin, rand4])
+        words = [pc.random_word(group, rng, 6) for _ in range(rng.randint(1, 4))]
+        depth = rng.randint(0, 9 if group.degree == 2 else 5)
+        levels = list(group.level_perms(words, depth))
+        assert len(levels) == depth + 1
+        for n, perms in enumerate(levels):
+            assert perms == group.level_perm(words, n)
+
+
+def test_level_memo_holds_only_reached_letters():
+    # the 2,047-state binary-tree automaton of test_level_action_compiles_only_reached_letters
+    n = 2047
+    tree = make_group(
+        2,
+        [(f"s{i}", tuple(f"s{j}" if j < n else "1" for j in (2 * i + 1, 2 * i + 2)), ((1, 2),))
+         for i in range(n)],
+        name="tree",
+    )
+
+    def sections(letters):
+        return {(s, e) for name, e in letters for s in tree.state(name).slots if s is not None}
+
+    def letter():  # a state at a random depth of the tree
+        return f"s{rng.randrange(2 ** rng.randint(1, 11) - 1)}", rng.choice((1, -1))
+
+    rng = Random(29)
+    for _ in range(12):
+        words = [tree.element([letter() for _ in range(rng.randint(0, 4))]) for _ in range(3)]
+        level = rng.randint(0, 16)
+        # one level builds letter x on level m iff x is exactly level - m section steps from
+        # the words; all levels up to `level` together build it iff x is within that many
+        exact, within = set(), set()
+        reached = {x for w in words for x in w.letters}
+        memo, shared = {}, {}
+        for m in range(level, -1, -1):
+            exact |= {(x, m) for x in reached}
+            within |= {(x, k) for x in reached for k in range(m + 1)}
+            reached = sections(reached)
+            tree._level(words, level - m, shared)
+        tree._level(words, level, memo)
+        for got, want in ((memo, exact), (shared, within)):
+            assert {key for key in got if key[0] is not None} == want
+            assert {m for x, m in got if x is None} <= set(range(level + 1))
 
 
 def test_orbits_depth_cap(grig):
