@@ -329,7 +329,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
             )
         # one id per word in product() order until the first collision; after
         # it one per distinct id, as equal words have equal extensions
-        level = [table.mul(p, s) for p in level for s in letters]
+        level = table.products(level, letters)
         words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
         for idxs, x in zip(words, level):
             if x not in first:
@@ -350,7 +350,8 @@ def ball_sizes(
 ) -> Tuple[int, ...]:
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
-    Breadth-first search over interned ids; deterministic for a fixed
+    Breadth-first search over the distinct interned ids of S and S^-1 (an
+    involution and its inverse share one); deterministic for a fixed
     generating set.  Raises BoundExceeded past `max_elements`, which may
     lower `decide.BALL_CAP` but not raise it.
     """
@@ -359,7 +360,7 @@ def ball_sizes(
     if not 1 <= max_elements <= decide.BALL_CAP:
         raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_clip(str(max_elements))}")
     table = decide._InternTable(gens.group)
-    letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
+    letters = list(dict.fromkeys(table.intern(x) for e in gens.elements for x in (e, e.inverse())))
     sizes = [1]
     for sphere in table.spheres(letters, radius, max_elements):
         sizes.append(sizes[-1] + len(sphere))

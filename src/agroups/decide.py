@@ -36,6 +36,8 @@ already known; otherwise a walk over its section pairs settles the pairs
 whose sections have ids, and `_cycles` refines the pairs left on a cycle
 together with the ids on cycles of the table, so that no keys are built.
 The nodes one table's slow paths refine are bounded by REFINE_CAP.
+Spheres and free-semigroup levels batch their products through `products`;
+`order` and the Schreier pass chain each on the one before, so they call `mul`.
 """
 
 from __future__ import annotations
@@ -297,6 +299,21 @@ def section_closure(g: Element) -> SectionClosure:
 # -- interned minimized automata ------------------------------------------------
 
 
+class _Composed(dict):
+    """Root image of q -> of p -> of ``p * q``, the tuple `shared` keeps; filled on a miss."""
+
+    def __init__(self, shared, after=None):  # dict.__new__ made it empty
+        self.shared, self.after = shared, after
+
+    def __missing__(self, image):
+        if self.after is None:  # the root image of a new q
+            value = self[image] = _Composed(self.shared, image)
+            return value
+        value = tuple([image[j - 1] for j in self.after])
+        value = self[image] = self.shared.setdefault(value, value)
+        return value
+
+
 class _InternTable:
     """Minimized automaton states of one group: id x has root image
     ``images[x]`` and section ``kids[x][k-1]`` at letter k; 0 is the identity.
@@ -305,13 +322,14 @@ class _InternTable:
     each section product is trivial or memoized; otherwise it walks the
     section pairs, and `_absorb` looks up each pair whose sections got ids.
     Only states on cycles go to `_cycles`, which refines them together with
-    the ids on cycles of the table."""
+    the ids on cycles of the table.  `products` batches `mul` over many pairs."""
 
     def __init__(self, group):
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
         self.images, self.kids = [row[0]], [row[1]]
         self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
         self._distinct_images = {row[0]: row[0]}  # one tuple per root image, shared by rows
+        self._composed = _Composed(self._distinct_images)
         self._made = [0]  # 0 and the ids `_cycles` made: every id on a cycle
         self._products: Dict[Tuple[int, int], int] = {}
         self._by_key: Dict[tuple, int] = {}  # canonical key -> id, filled by `intern`
@@ -339,10 +357,8 @@ class _InternTable:
     def mul(self, p: int, q: int) -> int:
         """The id of ``p * q`` (q acts first), memoized on ``(p, q)``.  When
         every section pair is trivial or memoized, one row lookup finds it."""
-        if not p or not q:
-            return p or q
         products = self._products
-        x = products.get((p, q))
+        x = products.get((p, q)) if p and q else p or q
         if x is not None:
             return x
         images, kids_p, row = self.images, self.kids[p], []
@@ -352,18 +368,51 @@ class _InternTable:
             if x is None:
                 return self._walk(p, q)
             row.append(x)
-        image = images[p]
-        x = products[p, q] = self._state(tuple([image[j - 1] for j in images[q]]), tuple(row))
+        x = products[p, q] = self._state(self._composed[images[q]][images[p]], tuple(row))
         return x
+
+    def products(self, ps: List[int], qs: List[int]) -> List[int]:
+        """``[self.mul(p, q) for p in ps for q in qs]``, making the same states."""
+        return self._times(ps, self._factors(qs))
+
+    def _factors(self, qs: List[int]) -> list:
+        """Each q as `_times` reads it: q, its (image index, kid) pairs, `_composed[q's image]`."""
+        images, kids, composed = self.images, self.kids, self._composed
+        return [(q, [*zip([j - 1 for j in images[q]], kids[q])], composed[images[q]]) for q in qs]
+
+    def _times(self, ps: List[int], factors: list) -> List[int]:
+        """`products` of `ps` and the `_factors` of qs: `mul`, with `_state` inlined."""
+        products, images, kids, ids, out = self._products, self.images, self.kids, self._ids, []
+        for p in ps:
+            kids_p, image = kids[p], images[p]
+            for q, pairs, after in factors:
+                x = products.get((p, q)) if p and q else p or q
+                if x is None:
+                    row = []
+                    for j, b in pairs:
+                        a = kids_p[j]
+                        x = products.get((a, b)) if a and b else a or b
+                        if x is None:
+                            x = self._walk(p, q)
+                            break
+                        row.append(x)
+                    else:
+                        key = (after[image], tuple(row))
+                        x = products[p, q] = ids.setdefault(key, len(images))
+                        if x == len(images):  # a new state; its image is shared already
+                            images.append(key[0])
+                            kids.append(key[1])
+                out.append(x)
+        return out
 
     def _walk(self, p: int, q: int) -> int:
         """`mul` for a pair with an unknown section product: a breadth-first
         walk over the section pairs, then `_absorb`."""
         self.walks += 1
-        images, kids, products = self.images, self.kids, self._products
+        images, kids, products, composed = self.images, self.kids, self._products, self._composed
         pairs, index, new_images, refs = [(p, q)], {(p, q): 0}, [], []
         for x, y in pairs:  # the list grows while it is walked
-            new_images.append(tuple(images[x][j - 1] for j in images[y]))
+            new_images.append(composed[images[y]][images[x]])
             row = []
             for j, b in zip(images[y], kids[y]):
                 a = kids[x][j - 1]
@@ -383,13 +432,12 @@ class _InternTable:
         """Yield spheres 1..radius of the Cayley graph on the ids `letters`:
         lists of ``(id, position of its parent in the previous sphere, letter
         index)`` in first-occurrence order.  Raises BoundExceeded once the
-        ball holds more than `cap` elements."""
-        ball, frontier = {0}, [0]
+        ball holds more than `cap` elements, within one frontier element's batch."""
+        ball, frontier, factors = {0}, [0], self._factors(letters)
         for _ in range(radius):
             sphere = []
             for pos, g in enumerate(frontier):
-                for i, s in enumerate(letters):
-                    h = self.mul(g, s)
+                for i, h in enumerate(self._times([g], factors)):
                     if h not in ball:
                         ball.add(h)
                         sphere.append((h, pos, i))

@@ -28,7 +28,8 @@ word-based Schreier transversal and generator dedupe that the id-based
 compiled level permutations of `GroupDef.level_perms` replaced.
 `InternTableReference` is the intern table whose `mul` walks the section
 pairs of every product, recursing into the memoized ones, as it did before
-the one-row lookup of `decide._InternTable.mul`.  `parse_certificate_reference`
+the one-row lookup of `decide._InternTable.mul`, and whose batches of
+products are one such `mul` per pair.  `parse_certificate_reference`
 is the keyword-by-keyword `.cert` reader that the assertion forms of
 `agroups.certify` replaced.  `parse_group_file_reference` is the `.agt`
 reader as it was before a clean `gen` line was read by one regex.  Both
@@ -589,7 +590,11 @@ def parse_word_reference(text: str, group: GroupDef) -> Element:
 
 
 class InternTableReference(decide._InternTable):
-    """`decide._InternTable` with its earlier `mul` and `_absorb`, kept as they were."""
+    """`decide._InternTable` with its earlier `mul` and `_absorb`, kept as they were,
+    and `_times`, the batch that `products` and `spheres` make, as one `mul` per pair."""
+
+    def _times(self, ps, factors) -> List[int]:
+        return [self.mul(p, q) for p in ps for q, _, _ in factors]
 
     def mul(self, p: int, q: int) -> int:
         if not p or not q or (p, q) in self._products:

@@ -145,6 +145,65 @@ def test_ball_cap(grig):
             ball_sizes(gens, 2, max_elements=cap)
 
 
+def _per_product_ball(table, letters):
+    """A Cayley-ball loop of one `mul` per product: yields the ball's size after each."""
+    ball, frontier = {0}, [0]
+    while True:
+        sphere = []
+        for g in frontier:
+            for s in letters:
+                h = table.mul(g, s)
+                if h not in ball:
+                    ball.add(h)
+                    sphere.append(h)
+                yield len(ball)
+        frontier = sphere
+
+
+def test_ball_cap_trips_within_one_batch(grig, bas):
+    # `spheres` batches one frontier element's products, so when it raises, its table is
+    # the per-product loop's table at the product that passed the cap, or after at most
+    # len(letters) - 1 more products: no more states and no more memoized products
+    for group, cap in ((bas, 100), (grig, 30)):
+        batch, single = decide._InternTable(group), decide._InternTable(group)
+        letters = [batch.intern(x) for e in group.generators() for x in (e, e.inverse())]
+        assert [single.intern(x) for e in group.generators() for x in (e, e.inverse())] == letters
+        with pytest.raises(BoundExceeded, match=f"^ball exceeded {cap} elements$"):
+            for _ in batch.spheres(letters, 20, cap):
+                pass
+        loop = _per_product_ball(single, letters)
+        for size in loop:  # up to the product that passes the cap
+            if size > cap:
+                break
+        extra = 0
+        while (single.images, single._products) != (batch.images, batch._products):
+            assert extra < len(letters) - 1, group.name
+            next(loop)
+            extra += 1
+        assert single.kids == batch.kids
+
+
+def test_free_semigroup_stops_before_a_level_past_the_cap(bas, monkeypatch):
+    # `--maxlen 40` exits 2 at BALL_CAP (test_free_semigroup_words_are_bounded); here, at a
+    # cap of 1,000, the levels are batched whole: basilica's positive words are distinct, so
+    # length 9 would bring the 510 ids of lengths 1-8 past the cap, and it raises before
+    # making a product of that level
+    made = []
+    products = decide._InternTable.products
+
+    def counted(table, ps, qs):
+        made.append(len(ps) * len(qs))
+        return products(table, ps, qs)
+
+    monkeypatch.setattr(decide._InternTable, "products", counted)
+    monkeypatch.setattr(decide, "BALL_CAP", 1000)
+    gens = GenSet.from_group(bas)
+    assert free_semigroup_check(gens, 8).distinct == 510
+    with pytest.raises(BoundExceeded, match="^free semigroup words exceeded 1000 ids at length 9$"):
+        free_semigroup_check(gens, 40)
+    assert made == [2 ** n for n in range(1, 9)] * 2
+
+
 def test_report_payload_shape(grig):
     report = run_suite(corpus.load_certificate("grigorchuk_nea"), grig)
     payload = report.to_payload()

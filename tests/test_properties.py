@@ -197,9 +197,9 @@ def _product_calls(table, group, rng, radius, wordlen, powers):
     steps = [(table.intern(s), table.intern(s.inverse())) for s in gens]
     out = [h for sphere in table.spheres([x for step in steps for x in step], radius)
            for h, _, _ in sphere]
-    level = [0]  # free-semigroup levels
+    level = [0]  # free-semigroup levels, batched as `free_semigroup_check` batches them
     for _ in range(radius):
-        level = list(dict.fromkeys(table.mul(p, sid) for p in level for sid, _ in steps))
+        level = list(dict.fromkeys(table.products(level, [sid for sid, _ in steps])))
         out += level
     for _ in range(4):  # Schreier-style chains: t_y = s t_x, t_y^-1 = t_x^-1 s^-1
         tid = tinv = 0
@@ -231,3 +231,30 @@ def test_intern_table_fast_path_matches_walk(grig, bas, odo, rot3, aleshin):
         assert ids[0] == ids[1], group.name
         assert (fast.images, fast.kids, fast._products) == (walk.images, walk.kids, walk._products)
         assert fast.walks, group.name  # the walk ran, next to the lookups
+
+
+def test_intern_table_products_match_mul(grig, bas, rot3, aleshin, rand4):
+    # one `products` batch against one `mul` per pair on a twin table: the same ids, states,
+    # memo entries, walks and slow paths, with 0 on either side, repeated pairs, and the
+    # duplicate letter ids of involutions (grigorchuk's 8 letters are 4 ids)
+    rng = Random("products")
+    # Aleshin's group is free and rand4's slow paths are long, so their batches stay small
+    for group, rounds, width in ((grig, 20, 8), (bas, 20, 8), (rot3, 12, 6), (aleshin, 4, 3),
+                                 (rand4, 3, 3)):
+        batch, single = decide._InternTable(group), decide._InternTable(group)
+        words = [group.element([(n, e)]) for n in group.state_names for e in (1, -1)]
+        letters = [batch.intern(x) for x in words]
+        assert [single.intern(x) for x in words] == letters, group.name
+        pool = [0, *letters]
+        for _ in range(rounds):
+            ps = [*rng.choices(pool, k=width), 0]
+            ps.append(ps[0])
+            qs = [0, *letters, rng.choice(pool), letters[0]]
+            got = batch.products(ps, qs)
+            assert got == [single.mul(p, q) for p in ps for q in qs], group.name
+            assert (batch.images, batch.kids, batch._products) == \
+                (single.images, single.kids, single._products), group.name
+            assert (batch.walks, batch.slow, batch.refined) == \
+                (single.walks, single.slow, single.refined), group.name
+            pool += rng.sample(got, 3)
+        assert batch.walks, group.name  # the batch fell back to the walk, next to its lookups

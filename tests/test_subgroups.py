@@ -435,3 +435,18 @@ def test_genset_validation(grig, bas):
         GenSet.from_elements([])
     with pytest.raises(EngineError):
         GenSet(grig, ("a",), (bas.generator("a"),))
+
+
+def test_stabilizer_transversals_match_published_indices(grig, bas, odo):
+    # the level-n transversal holds one point per coset of St_G(n): for grigorchuk
+    # |G/St_G(n)| = 2^(5 * 2^(n-3) + 2) for n >= 3 (Grigorchuk, "Just infinite branch
+    # groups", 2000); the odometer's level quotient is cyclic of order 2^n, so one
+    # generator (a^(2^n)) stabilizes the level; basilica's sizes are pinned as measured
+    for n, size in zip(range(1, 5), (2, 8, 128, 4096)):
+        assert len(stabilizer_gens(GenSet.from_group(grig), n).transversal) == size
+        assert n < 3 or size == 2 ** (5 * 2 ** (n - 3) + 2)
+    for n, size in zip(range(1, 5), (2, 8, 64, 4096)):
+        assert len(stabilizer_gens(GenSet.from_group(bas), n).transversal) == size
+    for n in range(1, 5):
+        st = stabilizer_gens(GenSet.from_group(odo), n)
+        assert (len(st.transversal), len(st.generators)) == (2 ** n, 1)
