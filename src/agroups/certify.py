@@ -350,17 +350,17 @@ def ball_sizes(
 ) -> Tuple[int, ...]:
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
-    Breadth-first search over the distinct interned ids of S and S^-1 (an
-    involution and its inverse share one); deterministic for a fixed
-    generating set.  Raises BoundExceeded past `max_elements`, which may
-    lower `decide.BALL_CAP` but not raise it.
+    Breadth-first search over the interned ids of S and S^-1, each distinct
+    id multiplied once (see `decide._InternTable.spheres`); deterministic
+    for a fixed generating set.  Raises BoundExceeded past `max_elements`,
+    which may lower `decide.BALL_CAP` but not raise it.
     """
     if radius < 0:
         raise BadArgument(f"radius must be nonnegative, got {_clip(str(radius))}")
     if not 1 <= max_elements <= decide.BALL_CAP:
         raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_clip(str(max_elements))}")
     table = decide._InternTable(gens.group)
-    letters = list(dict.fromkeys(table.intern(x) for e in gens.elements for x in (e, e.inverse())))
+    letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     sizes = [1]
     for sphere in table.spheres(letters, radius, max_elements):
         sizes.append(sizes[-1] + len(sphere))

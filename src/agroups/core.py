@@ -114,6 +114,9 @@ SHOWN = 60  # characters of outside text that an error message echoes
 # Letters in a word built from a short text or a power, checked before each
 # expansion, so that neither can exhaust memory.
 MAX_WORD_LETTERS = 1 << 20
+# cells (states x alphabet size) of one presentation, checked before any state is
+# built; a binary state costs about 1.5 KiB, so 2^17 cells stay near 100 MiB
+CELL_CAP = 1 << 17
 
 
 def _is_number(text: str) -> bool:
@@ -288,12 +291,12 @@ class GroupDef:
     constructor trusts its input.
 
     It compiles the validated states once into one step table, read by
-    :meth:`Element.coords`, :meth:`Element.act`, :meth:`Element.section`
-    and :meth:`level_perms`.  Each letter ``(name, 1)`` or ``(name, -1)``
-    maps to one entry per input letter i, a triple: the 0-based position
-    its root permutation sends i to, the section letter there (None for
-    the identity), and that section letter's inverse, against which free
-    reduction compares.  It also maps the printed text of each letter,
+    :meth:`Element.coords`, by the one descent of :meth:`Element.act` and
+    :meth:`Element.section`, and by :meth:`level_perms`.  Each letter
+    ``(name, 1)`` or ``(name, -1)`` maps to one entry per input letter i,
+    a triple: the 0-based position its root permutation sends i to, the
+    section letter there (None for the identity), and that section
+    letter's inverse, against which free reduction compares.  It also maps the printed text of each letter,
     ``a`` or ``a^-1``, to the letter.
 
     ``_letter_closures`` starts empty; :func:`agroups.decide.canonical_key`
@@ -486,6 +489,8 @@ def make_group(
         rows = [tuple(row) for row in states]
     if not rows:
         raise EmptyGroup(f"group {_shown(name)} declares no states")
+    if len(rows) * alphabet_size > CELL_CAP:
+        raise BoundExceeded(f"{len(rows)} states x {alphabet_size} letters exceed {CELL_CAP} cells")
 
     table: "dict[str, State]" = {}
     identity = Perm.identity(alphabet_size)  # shared: a Perm is immutable
@@ -634,12 +639,22 @@ class Element:
         return WreathCoords(tuple(slots), Perm._make(tuple(image)))
 
     def section(self, v: Union[str, Sequence[int]]) -> "Element":
-        """The element induced on the subtree at vertex `v`: each letter walks
-        down it as in :meth:`act`, and the state it ends in is its section."""
+        """The element induced on the subtree at vertex `v` (see :meth:`_descend`)."""
+        return Element._make(self.group, self._descend(v)[1])
+
+    def act(self, v: Union[str, Sequence[int]]) -> Vertex:
+        """Image of the vertex `v` (see :meth:`_descend`)."""
+        return self._descend(v)[0]
+
+    def _descend(self, v: Union[str, Sequence[int]]) -> Tuple[Vertex, Tuple[Letter, ...]]:
+        """The image of the vertex `v` and the letters of the section there.
+        Each letter, right to left, walks down v; a letter that reaches the
+        bottom ends in a state, and these states, reduced in reverse, spell
+        the section."""
         table = self.group._table
         out = list(self.group.vertex(v))
         if not out:
-            return self
+            return (), self.letters
         word = [None]  # a sentinel that cancels no letter
         for state in reversed(self.letters):
             for depth, i in enumerate(out):
@@ -652,19 +667,7 @@ class Element:
                     word.pop()
                 else:
                     word.append(state)
-        return Element._make(self.group, tuple(word[:0:-1]))
-
-    def act(self, v: Union[str, Sequence[int]]) -> Vertex:
-        """Image of the vertex `v`: each letter, right to left, walks down it."""
-        table = self.group._table
-        out = list(self.group.vertex(v))
-        for state in reversed(self.letters):
-            for depth, i in enumerate(out):
-                j, state, _ = table[state][i - 1]
-                out[depth] = j + 1
-                if state is None:
-                    break
-        return tuple(out)
+        return tuple(out), tuple(word[:0:-1])
 
     # -- misc ---------------------------------------------------------------
 

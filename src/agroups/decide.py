@@ -212,19 +212,19 @@ def _canonical_order(cls: List[int], images, edges, start: int):
     return order, rows
 
 
-class _LetterClosure:
-    """The refined section closure of a letter.  Every section of a letter
-    is a letter or the identity, so one closure serves each letter in it;
-    `_letter_closure` keeps it on the group for all of them.  `keys` holds
-    the keys numbered so far, by node, and `refs` are the edges with the
-    identity node as ``~0``, as `_InternTable._absorb` reads them."""
+class _Closure:
+    """The refined section closure of an element: its section words `nodes`
+    (node 0 is the element), their root `images`, the `edges` to each node's
+    sections and the class `cls` of each node.  `keys` holds the canonical
+    keys numbered so far, by node.  Every section of a letter is a letter or
+    the identity, so one letter's closure serves each letter in it, and
+    `_letter_closure` keeps it on the group for all of them."""
 
-    __slots__ = ("images", "edges", "cls", "refs", "keys")
+    __slots__ = ("nodes", "images", "edges", "cls", "keys")
 
-    def __init__(self, nodes: List[Element], images, edges):
-        self.images, self.edges = images, edges
-        self.cls = _refine(images, edges)
-        self.refs = [tuple([j if nodes[j].letters else ~0 for j in row]) for row in edges]
+    def __init__(self, g: Element):
+        self.nodes, self.images, self.edges = _syntactic_closure(g)
+        self.cls = _refine(self.images, self.edges)
         self.keys: Dict[int, tuple] = {}
 
     def key(self, i: int) -> tuple:
@@ -234,28 +234,25 @@ class _LetterClosure:
             key = self.keys[i] = tuple(_canonical_order(self.cls, self.images, self.edges, i)[1])
         return key
 
+    def refs(self) -> List[Tuple[int, ...]]:
+        """The edges with the identity node as ``~0``, as `_InternTable._absorb` reads them."""
+        nodes = self.nodes
+        return [tuple([j if nodes[j].letters else ~0 for j in row]) for row in self.edges]
 
-def _letter_closure(g: Element) -> Tuple[_LetterClosure, int]:
-    """The letter closure of a one-letter word and the word's node in it.  A
-    group builds a closure the first time one of its letters is asked for,
-    and keeps it for every letter in it that no earlier closure holds."""
+
+def _letter_closure(g: Element) -> Tuple[_Closure, int]:
+    """The closure of a one-letter word and the word's node in it.  A group
+    builds a closure the first time one of its letters is asked for, and
+    keeps it for every letter in it that no earlier closure holds."""
     cache = g.group._letter_closures
     found = cache.get(g.letters[0])
     if found is None:
-        nodes, images, edges = _syntactic_closure(g)
-        closure = _LetterClosure(nodes, images, edges)
-        for i, h in enumerate(nodes):
+        closure = _Closure(g)
+        for i, h in enumerate(closure.nodes):
             if h.letters:
                 cache.setdefault(h.letters[0], (closure, i))
         found = cache[g.letters[0]]
     return found
-
-
-def _minimized(g: Element):
-    """`g`'s section closure, its class per node, and its classes numbered from `g`."""
-    nodes, images, edges = _syntactic_closure(g)
-    cls = _refine(images, edges)
-    return (nodes, cls, *_canonical_order(cls, images, edges, 0))
 
 
 def canonical_key(g: Element):
@@ -263,7 +260,7 @@ def canonical_key(g: Element):
     if len(g.letters) == 1:
         closure, i = _letter_closure(g)
         return closure.key(i)
-    return tuple(_minimized(g)[3])
+    return _Closure(g).key(0)
 
 
 class SectionClosure(NamedTuple):
@@ -283,7 +280,9 @@ class SectionClosure(NamedTuple):
 
 
 def section_closure(g: Element) -> SectionClosure:
-    nodes, cls, order, rows = _minimized(g)
+    closure = _Closure(g)
+    nodes, cls = closure.nodes, closure.cls
+    order, rows = _canonical_order(cls, closure.images, closure.edges, 0)
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
@@ -333,7 +332,7 @@ class _InternTable:
         self._made = [0]  # 0 and the ids `_cycles` made: every id on a cycle
         self._products: Dict[Tuple[int, int], int] = {}
         self._by_key: Dict[tuple, int] = {}  # canonical key -> id, filled by `intern`
-        self._absorbed: Dict[_LetterClosure, List[int]] = {}  # letter closure -> its nodes' ids
+        self._absorbed: Dict[_Closure, List[int]] = {}  # letter closure -> its nodes' ids
         self.walks = self.slow = self.refined = 0  # refined: nodes `_cycles` refined
 
     def intern(self, g: Element) -> int:
@@ -347,7 +346,7 @@ class _InternTable:
                 closure, i = _letter_closure(g)
                 ids = self._absorbed.get(closure)
                 if ids is None:
-                    ids = self._absorbed[closure] = self._absorb(closure.images, closure.refs)
+                    ids = self._absorbed[closure] = self._absorb(closure.images, closure.refs())
                 x = ids[i]
             else:
                 x = self._absorb([image for image, _ in key], [kids for _, kids in key])[0]
@@ -431,13 +430,16 @@ class _InternTable:
     def spheres(self, letters: List[int], radius: int, cap: int = BALL_CAP):
         """Yield spheres 1..radius of the Cayley graph on the ids `letters`:
         lists of ``(id, position of its parent in the previous sphere, letter
-        index)`` in first-occurrence order.  Raises BoundExceeded once the
-        ball holds more than `cap` elements, within one frontier element's batch."""
-        ball, frontier, factors = {0}, [0], self._factors(letters)
+        index)`` in first-occurrence order.  Each distinct id is multiplied
+        once, and an entry names the first letter that has it (an involution
+        and its inverse share one).  Raises BoundExceeded once the ball holds
+        more than `cap` elements, within one frontier element's batch."""
+        first = {x: letters.index(x) for x in letters}  # id -> index of its first letter
+        ball, frontier, factors = {0}, [0], self._factors(list(first))
         for _ in range(radius):
             sphere = []
             for pos, g in enumerate(frontier):
-                for i, h in enumerate(self._times([g], factors)):
+                for i, h in zip(first.values(), self._times([g], factors)):
                     if h not in ball:
                         ball.add(h)
                         sphere.append((h, pos, i))

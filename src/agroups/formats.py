@@ -88,34 +88,22 @@ def _parse_tuple_then_rest(text: str, line_no: int) -> Tuple[List[str], str]:
     text = text.strip()
     if not text.startswith("("):
         raise ParseError("expected '(' starting a tuple", line_no)
-    depth = 0
-    bracket = 0
-    parts: List[str] = []
-    cur: List[str] = []
-    end = None
+    depth = bracket = 0
+    cuts = [0]  # the '(' that opens the tuple, then each comma that splits it
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
-            if depth == 1:
-                continue
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                end = i
-                break
+                return [text[a + 1 : b].strip() for a, b in zip(cuts, cuts[1:] + [i])], text[i + 1 :]
         elif ch == "[":
             bracket += 1
         elif ch == "]":
             bracket -= 1
         elif ch == "," and depth == 1 and bracket == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-            continue
-        cur.append(ch)
-    if end is None:
-        raise ParseError("unbalanced '(' in tuple", line_no)
-    parts.append("".join(cur).strip())
-    return parts, text[end + 1 :]
+            cuts.append(i)
+    raise ParseError("unbalanced '(' in tuple", line_no)
 
 
 # -- group files -----------------------------------------------------------

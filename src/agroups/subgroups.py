@@ -485,8 +485,7 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
     cs = g.coords()
     if not cs.perm.is_identity():
         raise NotLevelFixing(f"element {_clip(str(g))} does not fix level 1")
-    inner = g.section((k,))
-    s = inner.coords().perm
+    s = cs.slots[k - 1].coords().perm  # g fixes the root, so its section at k is slot k
     if s(m) == m:
         raise PermFixesM(
             f"section at letter {k} has root permutation {_clip(str(s))}, which fixes {m}"

@@ -4,10 +4,12 @@ raises AssertionError on the first violation."""
 
 from random import Random
 
-from agroups import decide, subgroups
-from agroups.core import Element, GroupDef, format_vertex
+from agroups import certify, decide, subgroups
+from agroups.core import Element, GroupDef, Perm, format_vertex, make_group
 from agroups.subgroups import GenSet
 from agroups.words import parse_word
+
+from oracles import canonical_key_reference, pairwise_ball_sizes, walk_reference
 
 
 def random_word(group: GroupDef, rng: Random, maxlen: int, minlen: int = 0) -> Element:
@@ -177,3 +179,39 @@ def check_commutator_postcondition(groups, rng: Random, cases: int) -> int:
         assert cw.verified, f"commutator witness failed for {g}, k={k}, m={m}, w={w}"
         done += 1
     return done
+
+
+def random_automaton(rng: Random) -> GroupDef:
+    """A random wreath recursion: degree 2 or 3, 1 to 5 states, a random root
+    permutation per state, and each slot a state or the identity ``1``."""
+    degree = rng.randint(2, 3)
+    names = [f"s{i}" for i in range(rng.randint(1, 5))]
+    rows = []
+    for name in names:
+        image = list(range(1, degree + 1))
+        rng.shuffle(image)
+        rows.append((name, tuple(rng.choice(names + ["1"]) for _ in range(degree)), Perm(image)))
+    return make_group(degree, rows, name="random")
+
+
+def check_random_automata(rng: Random, cases: int) -> int:
+    """On random automata: `act` and `section` against `walk_reference`, the keys
+    of every letter (in a shuffled order, so that each closure a group keeps is
+    built from a random one of its letters) and of short words against
+    `canonical_key_reference`, and Cayley balls against `pairwise_ball_sizes`."""
+    for _ in range(cases):
+        group = random_automaton(rng)
+        for _ in range(20):
+            g = random_word(group, rng, 12)
+            v = random_vertex(group, rng, 5)
+            image, section = walk_reference(g, v)
+            assert g.act(v) == image, f"act: {g} at {format_vertex(v)}"
+            assert g.section(v).letters == section.letters, f"section: {g} at {format_vertex(v)}"
+        letters = [group.element([(n, e)]) for n in group.state_names for e in (1, -1)]
+        rng.shuffle(letters)
+        for g in letters + [random_word(group, rng, 3) for _ in range(5)]:
+            assert decide.canonical_key(g) == canonical_key_reference(g), f"key of {g}"
+        gens = GenSet.from_group(group)
+        radius = rng.randint(1, 2)
+        assert certify.ball_sizes(gens, radius) == pairwise_ball_sizes(gens, radius)
+    return cases

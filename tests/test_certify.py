@@ -8,6 +8,7 @@ from agroups.certify import (
     CoordsIs,
     DistinctPositiveWords,
     Equal,
+    ProjectionWitness,
     Trivial,
     UnknownGroup,
     ball_sizes,
@@ -55,6 +56,21 @@ def test_failing_assertions_report_details(grig):
     assert not report.passed
     assert all(not r.passed and r.detail for r in report.results)
     assert any("computed" in r.detail for r in report.results)
+
+
+@pytest.mark.parametrize(
+    "assertion, detail",
+    [
+        (CoordsIs("b", ("a",), None), "expected 2 slots"),
+        (CoordsIs("b", ("a", "c"), ((1, 2),)), "computed (a, c) id"),
+        (CoordsIs("a", ("1", "1"), None), "computed (1, 1) (1 2)"),
+        (ProjectionWitness("1", "a", "b"), "a moves 1"),
+    ],
+    ids=["slot count", "root permutation", "root swap", "moved vertex"],
+)
+def test_failing_assertion_details(grig, assertion, detail):
+    (result,) = run_suite(Certificate("bad", None, (assertion,)), grig).results
+    assert (result.passed, result.detail) == (False, detail)
 
 
 def test_group_name_mismatch(grig):

@@ -4,15 +4,19 @@ import pytest
 
 from agroups import decide
 from agroups.core import (
+    CELL_CAP,
     MAX_WORD_LETTERS,
     VERTEX_CAP,
     BadPerm,
+    BadStateName,
     BadVertex,
     BoundExceeded,
     DuplicateState,
     EmptyGroup,
+    EngineError,
     MixedGroups,
     Perm,
+    UnknownGenerator,
     UnknownState,
     make_group,
 )
@@ -59,6 +63,36 @@ def test_make_group_validates(grig):
         make_group(2, {})
     with pytest.raises(UnknownState):
         make_group(2, {"a": (("1",), None)})  # wrong slot count
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g: g.generator("z"), UnknownGenerator, "no generator named 'z' in group 'grigorchuk'"),
+        (lambda g: make_group(0, {"a": ((), None)}), EngineError, "alphabet size must be at least 1, got 0"),
+        (lambda g: make_group(2, {"1a": (("1", "1"), None)}), BadStateName, "invalid state name '1a'"),
+        (lambda g: make_group(2, {"a": (("1", "1"), Perm((2, 3, 1)))}), BadPerm,
+         "state 'a': permutation degree 3 != 2"),
+        (lambda g: g.element([("a", 2)]), EngineError, "letter exponent must be +1 or -1, got 2"),
+        (lambda g: make_group(2, {f"s{i}": (("1", "1"), None) for i in range(CELL_CAP // 2 + 1)}),
+         BoundExceeded, f"{CELL_CAP // 2 + 1} states x 2 letters exceed {CELL_CAP} cells"),
+        (lambda g: make_group(VERTEX_CAP, [("a", (), None), ("b", (), None)]), BoundExceeded,
+         f"2 states x {VERTEX_CAP} letters exceed {CELL_CAP} cells"),
+    ],
+    ids=["generator", "alphabet", "state name", "perm degree", "exponent", "cells", "wide cells"],
+)
+def test_construction_errors_name_their_input(grig, call, error, message):
+    # the cell cap is checked before any state is built, so its slots are not read
+    with pytest.raises(error) as excinfo:
+        call(grig)
+    assert str(excinfo.value) == message and type(excinfo.value) is error
+
+
+def test_cell_cap_admits_a_table_at_the_cap():
+    d = CELL_CAP // 2
+    group = make_group(d, [("a", ("b",) + ("1",) * (d - 1), ((1, 2),)), ("b", ("1",) * d, None)])
+    assert len(group.state_names) * group.degree == CELL_CAP
+    assert group.generator("a").act((1, 2)) == (2, 2)
 
 
 def test_errors_clip_echoed_input(grig):

@@ -14,7 +14,7 @@ import pytest
 from agroups import corpus
 from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
-from agroups.core import MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
+from agroups.core import CELL_CAP, MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
 from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP, REFINE_CAP
 from agroups.formats import (
     _FORMS,
@@ -533,6 +533,12 @@ def test_out_of_range_numbers_exit_2(capsys, argv):
     assert err.startswith("agt: error: ")
 
 
+@pytest.mark.parametrize("targets", [[], ["--level", "1", "--vertex", "1"]], ids=["neither", "both"])
+def test_stab_takes_exactly_one_target(capsys, targets):
+    code, out, err = run_cli(capsys, "stab", *G, *targets)
+    assert (code, out, err) == (2, "", "agt: error: give exactly one of --level or --vertex\n")
+
+
 BIG = "9" * 5000  # over the 4,300 digits Python's int() reads by default
 
 
@@ -769,6 +775,20 @@ def test_level_sizes_are_bounded(tmp_path, argv):
     (tmp_path / "wide.agt").write_text("group g\nalphabet 100000000\ngen a = (1, 1)\n", encoding="utf-8")
     code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
     assert code == 2 and err.startswith("agt: error: ") and str(VERTEX_CAP) in err, err
+
+
+def test_presentation_size_is_bounded(tmp_path):
+    # a 400,000-state chain (10.6 MB) ended in MemoryError in GroupDef.__init__ under this
+    # limit after about 5 s; make_group now refuses its 800,000 cells before building a state
+    n = 400_000
+    rows = "".join(f"gen s{i} = (s{i + 1}, 1)\n" for i in range(n - 1))
+    (tmp_path / "chain.agt").write_text(
+        f"group chain\nalphabet 2\n{rows}gen s{n - 1} = (1, 1) (1 2)\n", encoding="utf-8"
+    )
+    start = time.monotonic()
+    code, err = _limited(["-m", "agroups.cli", "eval", "--group", "chain.agt", "--word", "s0"], tmp_path)
+    assert (code, err) == (2, f"agt: error: {n} states x 2 letters exceed {CELL_CAP} cells\n")
+    assert time.monotonic() - start < 10
 
 
 def test_level_stabilizer_transversal_is_bounded(tmp_path):

@@ -49,6 +49,11 @@ def test_step_table_matches_reference(grig, bas, odo, rot3):
             assert g.section(u).letters == section.letters
 
 
+def test_random_automata_match_references():
+    # seeded wreath recursions of degree 2-3 with 1-5 states, whose sections include 1
+    assert pc.check_random_automata(Random(31), 40) == 40
+
+
 def _planted_word(group, rng: Random, maxlen: int):
     """Letters of a random word of length 0..`maxlen`, reduced, in which a
     conjugate ``u x u^-1`` or a pair ``x y^-1`` is planted now and then: where

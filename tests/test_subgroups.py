@@ -22,7 +22,8 @@ from agroups.subgroups import (
     stabilizer_gens,
     vertex_stabilizer_gens,
 )
-from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, format_vertex, make_group
+from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, MixedGroups, format_vertex
+from agroups.core import make_group
 from agroups.words import parse_word
 
 from oracles import (
@@ -344,6 +345,23 @@ def test_rist_elements_match_word_enumeration(grig, bas, rot3):
         assert [str(w) for w in rist_elements(gens, vertex, maxlen)] == want, (words, vertex, maxlen)
 
 
+def test_spheres_multiply_each_letter_id_once(grig, monkeypatch):
+    # grigorchuk's 8 letters are 4 ids, its generators being involutions: `rist` passes all
+    # 8 and makes 4 products per frontier element, naming each by its first letter
+    batches = []
+    times = decide._InternTable._times
+    monkeypatch.setattr(decide._InternTable, "_times",
+                        lambda self, ps, factors: batches.append(len(ps) * len(factors)) or
+                        times(self, ps, factors))
+    gens = GenSet.from_group(grig)
+    for vertex, maxlen in (("2", 4), ("1", 3), ("1.2", 4)):
+        frontier_elements = ball_sizes(gens, maxlen - 1)[-1]
+        batches.clear()
+        found = [str(w) for w in rist_elements(gens, vertex, maxlen)]
+        assert found == [str(w) for w in rist_reference(gens, vertex, maxlen)], vertex
+        assert len(batches) == frontier_elements and set(batches) == {4}
+
+
 def test_disjoint_rist_witnesses_commute(grig):
     x = parse_word("(a b a d)^2", grig)
     y = parse_word("a (a b a d)^2 a^-1", grig)
@@ -428,6 +446,9 @@ def test_commutator_witness_errors(grig):
         commutator_witness(grig.generator("a"), 1, 1, grig.generator("a"))
     with pytest.raises(ValueError):
         commutator_witness(grig.generator("b"), 3, 1, grig.generator("a"))
+    other = make_group(2, {"a": (("1", "1"), ((1, 2),))}, name="other")
+    with pytest.raises(MixedGroups, match=r"^witness element must live in the same group as g$"):
+        commutator_witness(parse_word("b c", grig), 1, 2, other.generator("a"))
 
 
 def test_genset_validation(grig, bas):
