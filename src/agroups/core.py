@@ -296,8 +296,10 @@ class GroupDef:
     ``(name, 1)`` or ``(name, -1)`` maps to one entry per input letter i,
     a triple: the 0-based position its root permutation sends i to, the
     section letter there (None for the identity), and that section
-    letter's inverse, against which free reduction compares.  It also maps the printed text of each letter,
-    ``a`` or ``a^-1``, to the letter.
+    letter's inverse, against which free reduction compares.  The table
+    holds one tuple per letter, so the walks compare letters by identity.  It
+    also maps the printed text of each letter, ``a`` or ``a^-1``, to the
+    letter.
 
     ``_letter_closures`` starts empty; :func:`agroups.decide.canonical_key`
     fills it, mapping each letter to the refined section closure it lies
@@ -464,6 +466,15 @@ def format_vertex(v: Vertex) -> str:
     return ".".join(map(str, v)) if v else "."
 
 
+def _check_size(states: int, degree: int) -> None:
+    """BoundExceeded if `degree` letters put over VERTEX_CAP vertices on level 1,
+    or `states` states on them pass CELL_CAP cells."""
+    if degree > VERTEX_CAP:  # level 1 has one vertex per letter
+        raise BoundExceeded(f"alphabet size {_clip(str(degree))} puts over {VERTEX_CAP} vertices on level 1")
+    if states * degree > CELL_CAP:
+        raise BoundExceeded(f"{states} states x {degree} letters exceed {CELL_CAP} cells")
+
+
 def make_group(
     alphabet_size: int,
     states: Union[Mapping[str, tuple], Iterable[tuple]],
@@ -479,18 +490,13 @@ def make_group(
     """
     if alphabet_size < 1:
         raise EngineError(f"alphabet size must be at least 1, got {_clip(str(alphabet_size))}")
-    if alphabet_size > VERTEX_CAP:  # level 1 has one vertex per letter
-        raise BoundExceeded(
-            f"alphabet size {_clip(str(alphabet_size))} puts over {VERTEX_CAP} vertices on level 1"
-        )
     if isinstance(states, Mapping):
         rows = [(n, slots, perm) for n, (slots, perm) in states.items()]
     else:
         rows = [tuple(row) for row in states]
+    _check_size(len(rows), alphabet_size)
     if not rows:
         raise EmptyGroup(f"group {_shown(name)} declares no states")
-    if len(rows) * alphabet_size > CELL_CAP:
-        raise BoundExceeded(f"{len(rows)} states x {alphabet_size} letters exceed {CELL_CAP} cells")
 
     table: "dict[str, State]" = {}
     identity = Perm.identity(alphabet_size)  # shared: a Perm is immutable
@@ -630,7 +636,7 @@ class Element:
             for row in rows:
                 j, s, inv = row[j]
                 if s is not None:
-                    if word[-1] == inv:
+                    if word[-1] is inv:
                         word.pop()
                     else:
                         word.append(s)
@@ -663,7 +669,7 @@ class Element:
                 if state is None:
                     break
             else:
-                if word[-1] == inv:
+                if word[-1] is inv:
                     word.pop()
                 else:
                     word.append(state)

@@ -10,10 +10,15 @@ where each slot is a state name or ``1`` and CYCLES is cycle notation on
 the letters 1..D, e.g. ``(1 2)``; omitted CYCLES means the identity.
 ``#`` starts a comment anywhere.
 
+The ``.agt`` reader checks every line but keeps rows only while they fit
+``core.CELL_CAP``, so an oversized file is refused without holding it.
+
 Certificate files start with ``suite NAME`` and an optional ``group
 NAME`` line, followed by one assertion per line: its ``kind`` keyword,
 then its ``form``, both declared on the assertion classes of
-:mod:`agroups.certify`.
+:mod:`agroups.certify`.  Each word is read once, here, into a
+:class:`agroups.words.Word`: the text the assertion prints, carrying
+the letters that evaluation resolves against the group.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from .certify import Assertion, Certificate
-from .core import _NAME, _NAME_RE, BadVertex, EngineError, GroupDef, _clip, _is_number, _shown
-from .core import _parse_vertex, make_group
-from .words import ParseError, word_letters
+from .core import _NAME, _NAME_RE, CELL_CAP, BadVertex, EngineError, GroupDef, _clip, _is_number
+from .core import _check_size, _parse_vertex, _shown, make_group
+from .words import ParseError, Word, read_word
 
 __all__ = [
     "format_group_file",
@@ -110,8 +115,11 @@ def _parse_tuple_then_rest(text: str, line_no: int) -> Tuple[List[str], str]:
 
 
 def parse_group_file(text: str) -> GroupDef:
+    """The group of a ``.agt`` text.  Every line is read, so that a syntax error
+    anywhere names its line, but rows are kept only while they fit `CELL_CAP`."""
     header: dict = {}
     rows: List[tuple] = []
+    states = 0  # `gen` lines read
     for line_no, keyword, rest in _lines(text):
         if keyword == "group":
             _header(header, keyword, _name("group", rest, line_no), line_no)
@@ -127,23 +135,26 @@ def parse_group_file(text: str) -> GroupDef:
                 gen_name, slots, cycles = clean.groups()
                 if cycles is not None:
                     cycles = tuple([tuple(map(int, c.split())) for c in cycles[1:-1].split(")(")])
-                rows.append((gen_name, tuple(slots.split(", ")), cycles))
-                continue
-            m = _GEN_RE.match(rest)
-            if m is None:
-                raise ParseError("malformed 'gen' line", line_no)
-            gen_name, rest = m.group(1), m.group(2)
-            slots, tail = _parse_tuple_then_rest(rest, line_no)
-            for entry in slots:
-                if entry != "1" and not _NAME_RE.match(entry):
-                    raise ParseError(f"invalid slot entry {_shown(entry)}", line_no)
-            cycles = _parse_cycles(tail, line_no)
-            rows.append((gen_name, tuple(slots), cycles))
+                row = (gen_name, tuple(slots.split(", ")), cycles)
+            else:
+                m = _GEN_RE.match(rest)
+                if m is None:
+                    raise ParseError("malformed 'gen' line", line_no)
+                gen_name, rest = m.group(1), m.group(2)
+                slots, tail = _parse_tuple_then_rest(rest, line_no)
+                for entry in slots:
+                    if entry != "1" and not _NAME_RE.match(entry):
+                        raise ParseError(f"invalid slot entry {_shown(entry)}", line_no)
+                row = (gen_name, tuple(slots), _parse_cycles(tail, line_no))
+            states += 1
+            if states * header["alphabet"] <= CELL_CAP:
+                rows.append(row)
         else:
             raise ParseError(f"unknown keyword {_shown(keyword)}", line_no)
     for keyword in ("group", "alphabet"):
         if keyword not in header:
             raise ParseError(f"missing {keyword!r} line")
+    _check_size(states, header["alphabet"])  # as make_group would on all the rows
     return make_group(header["alphabet"], rows, name=header["group"])
 
 
@@ -180,10 +191,8 @@ def load_group_file(path) -> GroupDef:
 # -- certificate files --------------------------------------------------------
 
 
-def _check_word(text: str, line_no: int) -> str:
-    text = text.strip()
-    word_letters(text, line_no)  # syntax only; names resolve at run time
-    return text
+def _check_word(text: str, line_no: int) -> Word:
+    return read_word(text.strip(), line_no)  # read once; names resolve at run time
 
 
 def _check_vertex(text: str, line_no: int) -> str:

@@ -12,6 +12,12 @@ the empty word.
 :func:`parse_word` reads a word in the form that elements print in,
 ``a b^-1 c``, by one table lookup per letter, and hands any other text
 to the grammar.
+
+:func:`read_word` reads a word once, where a file is loaded: it returns a
+:class:`Word`, which is still the text and also carries its letters, so
+that :func:`parse_word` only resolves their names against a group.  A
+printed-form word builds its letters piece by piece there too; any other
+text goes to the grammar, whose errors name the line and column.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import List, Optional, Tuple
 from .core import MAX_DIGITS, MAX_WORD_LETTERS, Element, EngineError, GroupDef, Letter
 from .core import UnknownGenerator, _NAME, _clip, _reduce, _shown
 
-__all__ = ["ParseError", "parse_word", "word_letters"]
+__all__ = ["ParseError", "Word", "parse_word", "read_word", "word_letters"]
 
 
 class ParseError(EngineError):
@@ -150,14 +156,46 @@ def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
     return _WordParser(tokens, line).word(None)
 
 
+class Word(str):
+    """The text of a word and, in `letters`, the letters the grammar reads in it;
+    it prints, compares and hashes as its text does."""
+
+    __slots__ = ("letters",)
+
+
+# one piece of a word as elements print it: NAME or NAME^-1
+_PRINTED_RE = re.compile(rf"({_NAME})(\^-1)?\Z")
+
+
+def read_word(text: str, line: Optional[int] = None) -> Word:
+    """`text` as a :class:`Word`, read once; a ParseError at `line` if it is no word."""
+    pieces = text.split()  # at the tokenizer's whitespace, as in parse_word
+    letters = []
+    if len(pieces) <= MAX_WORD_LETTERS:
+        for piece in pieces:
+            m = _PRINTED_RE.match(piece)
+            if m is None:
+                break
+            letters.append((m[1], -1 if m[2] else 1))
+    if not pieces or len(letters) < len(pieces):
+        letters = word_letters(text, line)
+    word = Word(text)
+    word.letters = tuple(letters)
+    return word
+
+
 def parse_word(text: str, group: GroupDef) -> Element:
-    """Parse `text` into a freely reduced element of `group`."""
-    # str.split() and the tokenizer part a text at the same (Unicode) whitespace
-    printed = group._printed
-    pieces = text.split()
-    if 0 < len(pieces) <= MAX_WORD_LETTERS and all(p in printed for p in pieces):
-        return Element._make(group, _reduce([printed[p] for p in pieces]))
-    letters = word_letters(text)
+    """Parse `text` into a freely reduced element of `group`; a :class:`Word`
+    is not read again."""
+    if isinstance(text, Word):
+        letters = text.letters
+    else:
+        # str.split() and the tokenizer part a text at the same (Unicode) whitespace
+        printed = group._printed
+        pieces = text.split()
+        if 0 < len(pieces) <= MAX_WORD_LETTERS and all(p in printed for p in pieces):
+            return Element._make(group, _reduce([printed[p] for p in pieces]))
+        letters = word_letters(text)
     for name, _ in letters:
         if name not in group._states:
             raise UnknownGenerator(

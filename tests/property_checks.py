@@ -9,7 +9,7 @@ from agroups.core import Element, GroupDef, Perm, format_vertex, make_group
 from agroups.subgroups import GenSet
 from agroups.words import parse_word
 
-from oracles import canonical_key_reference, pairwise_ball_sizes, walk_reference
+from oracles import canonical_key_reference, coords_reference, pairwise_ball_sizes, walk_reference
 
 
 def random_word(group: GroupDef, rng: Random, maxlen: int, minlen: int = 0) -> Element:
@@ -195,14 +195,18 @@ def random_automaton(rng: Random) -> GroupDef:
 
 
 def check_random_automata(rng: Random, cases: int) -> int:
-    """On random automata: `act` and `section` against `walk_reference`, the keys
-    of every letter (in a shuffled order, so that each closure a group keeps is
-    built from a random one of its letters) and of short words against
-    `canonical_key_reference`, and Cayley balls against `pairwise_ball_sizes`."""
+    """On random automata: `coords` against `coords_reference`, `act` and
+    `section` against `walk_reference`, the keys of every letter (in a
+    shuffled order, so that each closure a group keeps is built from a random
+    one of its letters) and of short words against `canonical_key_reference`,
+    and Cayley balls against `pairwise_ball_sizes`."""
     for _ in range(cases):
         group = random_automaton(rng)
         for _ in range(20):
             g = random_word(group, rng, 12)
+            got, want = g.coords(), coords_reference(g)
+            assert [s.letters for s in got.slots] == [s.letters for s in want.slots], f"coords: {g}"
+            assert got.perm == want.perm, f"coords: {g}"
             v = random_vertex(group, rng, 5)
             image, section = walk_reference(g, v)
             assert g.act(v) == image, f"act: {g} at {format_vertex(v)}"

@@ -14,7 +14,7 @@ import pytest
 from agroups import corpus
 from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
-from agroups.core import CELL_CAP, MAX_DIGITS, VERTEX_CAP, BadVertex, EmptyGroup, EngineError
+from agroups.core import CELL_CAP, MAX_DIGITS, VERTEX_CAP, BadVertex, BoundExceeded, EmptyGroup, EngineError
 from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP, REFINE_CAP
 from agroups.formats import (
     _FORMS,
@@ -789,6 +789,21 @@ def test_presentation_size_is_bounded(tmp_path):
     code, err = _limited(["-m", "agroups.cli", "eval", "--group", "chain.agt", "--word", "s0"], tmp_path)
     assert (code, err) == (2, f"agt: error: {n} states x 2 letters exceed {CELL_CAP} cells\n")
     assert time.monotonic() - start < 10
+
+
+def test_group_file_reader_keeps_no_rows_past_the_cell_cap():
+    # a 2,000,000-state chain ended in MemoryError in parse_group_file (rows.append) under
+    # 512 MiB; the reader now counts every row but keeps none past the cap
+    n = CELL_CAP // 2 + 1
+    rows = [f"gen s{i} = (s{i + 1}, 1)" for i in range(n - 1)] + [f"gen s{n - 1} = (1, 1) (1 2)"]
+    with pytest.raises(BoundExceeded) as excinfo:
+        parse_group_file("group chain\nalphabet 2\n" + "\n".join(rows))
+    assert str(excinfo.value) == f"{n} states x 2 letters exceed {CELL_CAP} cells"
+    # every line is still read: a syntax error past the cap names its line
+    rows[-1] = "gen s = (1, 1) (1 x)"
+    with pytest.raises(ParseError) as excinfo:
+        parse_group_file("group chain\nalphabet 2\n" + "\n".join(rows))
+    assert excinfo.value.line == n + 2 and str(excinfo.value).startswith(f"line {n + 2}: malformed cycle")
 
 
 def test_level_stabilizer_transversal_is_bounded(tmp_path):

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
-from agroups import words
+from agroups import cli, corpus, words
+from agroups.certify import run_suite
 from agroups.core import UnknownGenerator
-from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, parse_word, word_letters
+from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, Word, parse_word, read_word
+from agroups.words import word_letters
 from oracles import parse_word_reference, word_letters_reference
 
 
@@ -180,10 +183,23 @@ def _outcome(fn, *args, **kwargs):
     return (result.group, result.letters) if hasattr(result, "letters") else result
 
 
+NEAR = ["a z b", "a ^-1", "a^-1^-1", "a^-10", "a^-1b", "b^-1 1", "1", " ", "\t\n", "\xa0\x1c"]
+
+
+def _draws(grig):
+    """20,000 random texts, and 500 printed forms in each of SEPARATORS, from one seed."""
+    rng = random.Random(20260)
+    draw = [_random_text(rng) for _ in range(20_000)]
+    return draw, [_printed_forms(rng, grig) for _ in range(500)]
+
+
+def _raising(text, line=None):
+    raise AssertionError(f"grammar path taken for {text!r}")
+
+
 def test_word_parser_matches_reference(grig, monkeypatch):
     # the one-scan parser and the printed-form lookup give the token-list parser's letters,
     # or its error, message and column
-    rng = random.Random(20260)
     half = MAX_WORD_LETTERS // 2
     deep = MAX_NESTING + 1
     bounds = [  # each bound at its edge, which random draws rarely reach
@@ -191,11 +207,9 @@ def test_word_parser_matches_reference(grig, monkeypatch):
         f"a^{half} b^{half} a", f"a^{half} (b)^-{half}",
         f"[a^{half}, b]", f"(a^{half}) ^ (b^{half})",
     ]
-    draw = [_random_text(rng) for _ in range(20_000)]
-    printed = [_printed_forms(rng, grig) for _ in range(500)]
-    near = ["a z b", "a ^-1", "a^-1^-1", "a^-10", "a^-1b", "b^-1 1", "1", " ", "\t\n", "\xa0\x1c"]
+    draw, printed = _draws(grig)
     seen = set()
-    for text in bounds + near + [t for forms in printed for t in forms] + draw:
+    for text in bounds + NEAR + [t for forms in printed for t in forms] + draw:
         for new, old, kwargs in [
             (word_letters, word_letters_reference, {}),
             (word_letters, word_letters_reference, {"line": 7}),
@@ -222,11 +236,77 @@ def test_word_parser_matches_reference(grig, monkeypatch):
     at_limit = "a " * MAX_WORD_LETTERS
     limit_letters = tuple(word_letters(at_limit))
 
-    def grammar(text, line=None):
-        raise AssertionError(f"grammar path taken for {text!r}")
-
-    monkeypatch.setattr(words, "word_letters", grammar)
+    monkeypatch.setattr(words, "word_letters", _raising)
     assert parse_word(at_limit, grig).letters == limit_letters
     for text in [t for forms in printed for t in forms[1:]]:  # forms[0] is joined by ""
         got = _outcome(parse_word, text, group=grig)
         assert got == _outcome(parse_word_reference, text, group=grig), text
+
+
+def _certificate_words(cert):
+    """The word texts of `cert`'s assertions, tuple entries one by one."""
+    for assertion in cert.assertions:
+        for _, field, part in assertion.layout:
+            value = getattr(assertion, field)
+            if part == "word":
+                yield value
+            elif part == "tuple":
+                yield from value
+
+
+def test_read_words_carry_the_grammars_letters(grig, bas, odo, monkeypatch):
+    # a word read once at load carries word_letters' letters, or raises its error, message
+    # and column; parse_word of it gives what parse_word of its text gives, on each group
+    draw, printed = _draws(grig)
+    certs = [corpus.load_certificate(name) for name in corpus.CERTIFICATES]
+    suites = [w for cert in certs for w in _certificate_words(cert)]
+    assert all(type(w) is Word for w in suites)
+    read = 0
+    for text in list(map(str, suites)) + NEAR + [t for forms in printed for t in forms] + draw:
+        want = _outcome(word_letters, text, line=7)
+        try:
+            word = read_word(text, 7)
+        except ParseError as exc:
+            assert (ParseError, str(exc), exc.line, exc.col) == want, text
+            continue
+        assert type(word) is Word and word == text and word.letters == tuple(want), text
+        for group in (grig, bas, odo):  # unknown names included: the same UnknownGenerator text
+            assert _outcome(parse_word, word, group=group) == _outcome(parse_word, text, group=group), text
+        read += 1
+    assert read > 5_000, read
+
+    # printed forms are read without the grammar, up to the letter bound (lowered here, for
+    # speed); one letter over it, the grammar gives its error at the letter's column
+    monkeypatch.setattr(words, "word_letters", _raising)
+    for text in [t for forms in printed for t in forms[1:]]:  # forms[0] is joined by ""
+        assert read_word(text).letters == parse_word(text, grig).letters, text
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 8)
+    assert read_word("a^-1 " * 8).letters == (("a", -1),) * 8
+    monkeypatch.setattr(words, "word_letters", word_letters)
+    with pytest.raises(ParseError) as excinfo:
+        read_word("a " * 9, 3)
+    assert str(excinfo.value) == "line 3, col 17: word longer than 8 letters"
+
+
+@pytest.mark.parametrize("suite", corpus.CERTIFICATES)
+def test_certificate_words_are_parsed_once(monkeypatch, capsys, suite):
+    # a certify request runs the grammar at most once per .cert word, all at load
+    grammar, calls = word_letters, []
+
+    def counted(text, line=None):
+        calls.append(text)
+        return grammar(text, line)
+
+    monkeypatch.setattr(words, "word_letters", counted)
+    cert = corpus.load_certificate(suite)
+    texts = Counter(map(str, _certificate_words(cert)))
+    calls.clear()
+    assert cli.main(["certify", "--group", cert.group_name, "--suite", suite, "--json"]) == 0
+    assert not Counter(calls) - texts, calls
+    calls.clear()
+    report = run_suite(cert, corpus.load_group(cert.group_name))
+    assert report.passed and calls == []
+    # no Word reaches the payload: cli._json writes it whole, as the request printed it
+    out = []
+    cli._json(report.to_payload(), "", out)
+    assert "".join(out) + "\n" == capsys.readouterr().out
