@@ -10,8 +10,9 @@ where each slot is a state name or ``1`` and CYCLES is cycle notation on
 the letters 1..D, e.g. ``(1 2)``; omitted CYCLES means the identity.
 ``#`` starts a comment anywhere.
 
+A file over ``MAX_FILE_BYTES`` (16 MiB) is refused before it is decoded.
 The ``.agt`` reader checks every line but keeps rows only while they fit
-``core.CELL_CAP``, so an oversized file is refused without holding it.
+``core.CELL_CAP``, so an oversized table is refused without holding it.
 
 Certificate files start with ``suite NAME`` and an optional ``group
 NAME`` line, followed by one assertion per line: its ``kind`` keyword,
@@ -168,14 +169,29 @@ def format_group_file(group: GroupDef) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read(path) -> str:
-    """The UTF-8 text of the file at `path`; an EngineError if it cannot be read.
+# A file over this many bytes is refused before it is decoded.  At 16 MiB a file
+# of 2-character lines still parses under a 512 MiB address-space limit.
+MAX_FILE_BYTES = 1 << 24
+_FIRST_READ = 1 << 16  # most files end within it, so most reads ask for no buffer of the cap's size
 
-    The bytes are decoded without the text layer's newline translation, which
-    changes no line that str.splitlines() reads."""
+
+def _read(path) -> str:
+    """The UTF-8 text of the file at `path`; an EngineError if it cannot be read
+    or holds over `MAX_FILE_BYTES` bytes.
+
+    A buffered read returns all the bytes it asks for unless the file ends
+    first, also from a pipe such as /dev/stdin.  The bytes are decoded without
+    the text layer's newline translation, which changes no line that
+    str.splitlines() reads."""
     try:
-        with open(path, "rb", buffering=0) as file:
-            return file.read().decode("utf-8")
+        with open(path, "rb") as file:
+            data = file.read(_FIRST_READ)
+            if len(data) == _FIRST_READ:
+                data += file.read(MAX_FILE_BYTES + 1 - _FIRST_READ)
+        if len(data) > MAX_FILE_BYTES:
+            reason = f"over {MAX_FILE_BYTES} bytes"
+        else:
+            return data.decode("utf-8")
     except UnicodeDecodeError:
         reason = "not UTF-8 text"
     except OSError as exc:

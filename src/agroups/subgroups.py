@@ -148,7 +148,10 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
     """Exact orbit partition of every level up to `depth` under the gens.
 
     Each generator permutes the finite level set, so forward closure under
-    the generators alone already yields the full group orbits.
+    the generators alone already yields the full group orbits.  A block's
+    parent is read off its seed, its least vertex: a tree automorphism maps
+    the parent of v to the parent of v's image, so every member's parent lies
+    in the seed's orbit, and every orbit above has a child block.
     """
     if depth < 1:
         raise BadArgument(f"depth must be at least 1, got {_clip(str(depth))}")
@@ -168,29 +171,17 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
         for seed in range(len(verts)):
             if assigned[seed] >= 0:
                 continue
-            idx = len(blocks)
-            frontier = [seed]
-            assigned[seed] = idx
+            idx = assigned[seed] = len(blocks)
             members = [seed]
-            while frontier:
-                r = frontier.pop()
+            for r in members:  # the walk reads members as it appends them
                 for perm in perms:
                     w = perm[r]
                     if assigned[w] < 0:
                         assigned[w] = idx
                         members.append(w)
-                        frontier.append(w)
             members.sort()
             blocks.append(tuple(map(verts.__getitem__, members)))
-            # the parent of the vertex of rank r has rank r // d
-            parents = {prev_assigned[r // group.degree] for r in members}
-            if len(parents) != 1:
-                raise EngineError(
-                    f"orbit parent map ill-defined at level {n} (block {blocks[-1][0]})"
-                )
-            parent.append(parents.pop())
-        if set(parent) != set(range(levels[n - 1].count)):
-            raise EngineError(f"orbit parent map not surjective at level {n}")
+            parent.append(prev_assigned[seed // group.degree])  # the parent of rank r is r // d
         levels.append(OrbitLevel(n, tuple(blocks), tuple(parent)))
         prev_assigned = assigned
     return OrbitTable(gens, depth, tuple(levels))
@@ -381,7 +372,10 @@ def orbit_chain(
     """Orbit structure of the generators' action on the subtree at `vertex`.
 
     Every generator must fix `vertex`; the action below it is the action
-    of the sections there.
+    of the sections there.  The parent maps of the orbit table are onto, so
+    counts never drop: the stable level is the first whose count equals the
+    count at `depth`, and from there each parent map is one-to-one, so each
+    orbit of the chain has exactly one child.
     """
     group = gens.group
     vertex = group.vertex(vertex)
@@ -395,21 +389,13 @@ def orbit_chain(
     below = GenSet(group, gens.names, tuple(sections))
     table = orbits(below, depth)
     counts = table.counts
-    stable_level: Optional[int] = None
-    for n0 in range(depth):
-        if all(counts[k] == counts[n0] for k in range(n0, depth + 1)):
-            stable_level = n0
-            break
-    if stable_level is None:
+    stable_level = counts.index(counts[depth])
+    if stable_level == depth:
         return OrbitChainReport(vertex, table, counts, False, None, None)
     chain = [table.level(stable_level).blocks[0]]
     idx = 0
-    for n in range(stable_level + 1, depth + 1):
-        lv = table.level(n)
-        children = [i for i, p in enumerate(lv.parent) if p == idx]
-        if len(children) != 1:
-            raise EngineError(f"expected a single child orbit at level {n}")
-        idx = children[0]
+    for lv in table.levels[stable_level + 1 :]:
+        idx = lv.parent.index(idx)
         chain.append(lv.blocks[idx])
     return OrbitChainReport(vertex, table, counts, True, stable_level, tuple(chain))
 

@@ -43,7 +43,8 @@ class ParseError(EngineError):
         super().__init__(where + message)
 
 
-_Token = Tuple[Optional[str], str, int]  # (kind, text, column); kind is "name", "int" or the symbol
+# (kind, text, column); kind is "name", "int", the symbol, or None for the end of the text
+_Token = Tuple[Optional[str], str, int]
 # `->`, `=` and `:` belong to no word; they are tokens so that errors name them as such.
 _TOKEN_RE = re.compile(
     rf"(?P<name>{_NAME})"
@@ -51,7 +52,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<sym>->|[()\[\],^=:])"
     r"|(?P<bad>\S)"
 )
-_END: _Token = (None, "", 0)  # closes every token list, so the parser never runs off its end
 
 # Brackets nest at most this deep; each level costs the recursive descent three frames.
 MAX_NESTING = 100
@@ -73,7 +73,7 @@ class _WordParser:
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
         if tok[0] is None:
-            raise ParseError("unexpected end of word", self.line)
+            raise ParseError("unexpected end of word", self.line, tok[2])
         self.pos += 1
         return tok
 
@@ -98,7 +98,7 @@ class _WordParser:
             self.pos += 1
             kind, text, col = self.tokens[self.pos]
             if kind is None:
-                raise ParseError("dangling '^'", self.line)
+                raise ParseError("dangling '^'", self.line, col)
             if kind == "int":
                 self.pos += 1
                 k = int(text)
@@ -152,7 +152,7 @@ def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
         tokens.append((piece if kind == "sym" else kind, piece, col))
     if not tokens:
         raise ParseError("empty word (use '1' for the identity)", line)
-    tokens.append(_END)
+    tokens.append((None, "", len(text) + 1))  # the end, one column past the last character
     return _WordParser(tokens, line).word(None)
 
 

@@ -23,9 +23,14 @@ So are `schreier_reference`, `dedupe_reference` and `first_per_key`: the
 word-based Schreier transversal and generator dedupe that the id-based
 `subgroups._schreier` replaced.  `word_letters_reference` and
 `parse_word_reference` are the token-list word parser that the one-scan
-`agroups.words` replaced, kept as it was.  `orbits_reference` and
+`agroups.words` replaced, kept as it was but for the column that its
+end-of-word errors now name, one past the end of the text.  `orbits_reference` and
 `schreier_dot_reference` are the one-`act`-per-vertex loops that the
-compiled level permutations of `GroupDef.level_perms` replaced.
+compiled level permutations of `GroupDef.level_perms` replaced; they check
+that each block has one parent orbit and that the parent map is onto.
+`orbit_chain_reference` is `subgroups.orbit_chain` on `orbits_reference`
+as it was before the stable level was read off the counts and the chain
+off the parent map, with its scans and its one-child check.
 `InternTableReference` is the intern table whose `mul` walks the section
 pairs of every product, recursing into the memoized ones, as it did before
 the one-row lookup of `decide._InternTable.mul`, and whose batches of
@@ -46,7 +51,8 @@ from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
 from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _shown
 from agroups.core import _NAME, _NAME_RE, _is_number, format_vertex, make_group
-from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, OrbitLevel, OrbitTable, fixes_level
+from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, NotVertexFixing, OrbitChainReport, OrbitLevel
+from agroups.subgroups import OrbitTable, fixes_level
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
 
 
@@ -307,6 +313,45 @@ def orbits_reference(gens: GenSet, depth: int) -> OrbitTable:
     return OrbitTable(gens, depth, tuple(levels))
 
 
+def orbit_chain_reference(
+    gens: GenSet, vertex: Union[str, Vertex], depth: int
+) -> OrbitChainReport:
+    """Orbit structure of the generators' action on the subtree at `vertex`.
+
+    Every generator must fix `vertex`; the action below it is the action
+    of the sections there.
+    """
+    group = gens.group
+    vertex = group.vertex(vertex)
+    sections = []
+    for name, e in gens.items():
+        if e.act(vertex) != vertex:
+            raise NotVertexFixing(
+                f"generator {_shown(name)} moves vertex {_clip(format_vertex(vertex))}"
+            )
+        sections.append(e.section(vertex))
+    below = GenSet(group, gens.names, tuple(sections))
+    table = orbits_reference(below, depth)
+    counts = table.counts
+    stable_level: Optional[int] = None
+    for n0 in range(depth):
+        if all(counts[k] == counts[n0] for k in range(n0, depth + 1)):
+            stable_level = n0
+            break
+    if stable_level is None:
+        return OrbitChainReport(vertex, table, counts, False, None, None)
+    chain = [table.level(stable_level).blocks[0]]
+    idx = 0
+    for n in range(stable_level + 1, depth + 1):
+        lv = table.level(n)
+        children = [i for i, p in enumerate(lv.parent) if p == idx]
+        if len(children) != 1:
+            raise EngineError(f"expected a single child orbit at level {n}")
+        idx = children[0]
+        chain.append(lv.blocks[idx])
+    return OrbitChainReport(vertex, table, counts, True, stable_level, tuple(chain))
+
+
 def schreier_dot_reference(table: OrbitTable, level: int) -> str:
     lines = [f"digraph schreier_level_{level} {{", "  node [shape=circle];"]
     verts = [v for block in table.level(level).blocks for v in block]
@@ -480,11 +525,12 @@ def _invert(letters: List[Letter]) -> List[Letter]:
 class _WordParser:
     """Recursive-descent parser producing a flat letter list."""
 
-    def __init__(self, tokens: List[Token], line: Optional[int] = None):
+    def __init__(self, tokens: List[Token], line: Optional[int] = None, end: Optional[int] = None):
         self.tokens = tokens
         self.pos = 0
         self.line = line
         self.depth = 0
+        self.end = end  # the column of the end of the text
 
     def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -492,7 +538,7 @@ class _WordParser:
     def take(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of word", self.line)
+            raise ParseError("unexpected end of word", self.line, self.end)
         self.pos += 1
         return tok
 
@@ -525,7 +571,7 @@ class _WordParser:
             self.take()
             nxt = self.peek()
             if nxt is None:
-                raise ParseError("dangling '^'", self.line)
+                raise ParseError("dangling '^'", self.line, self.end)
             if nxt.kind == "int":
                 self.take()
                 k = nxt.value
@@ -570,7 +616,7 @@ def word_letters_reference(text: str, line: Optional[int] = None) -> List[Letter
     tokens = tokenize(text, line)
     if not tokens:
         raise ParseError("empty word (use '1' for the identity)", line)
-    parser = _WordParser(tokens, line)
+    parser = _WordParser(tokens, line, len(text) + 1)
     letters = parser.word()
     if parser.peek() is not None:
         tok = parser.peek()

@@ -9,7 +9,8 @@ from agroups.core import Element, GroupDef, Perm, format_vertex, make_group
 from agroups.subgroups import GenSet
 from agroups.words import parse_word
 
-from oracles import canonical_key_reference, coords_reference, pairwise_ball_sizes, walk_reference
+from oracles import canonical_key_reference, coords_reference, orbit_chain_reference, orbits_reference
+from oracles import pairwise_ball_sizes, walk_reference
 
 
 def random_word(group: GroupDef, rng: Random, maxlen: int, minlen: int = 0) -> Element:
@@ -218,4 +219,24 @@ def check_random_automata(rng: Random, cases: int) -> int:
         gens = GenSet.from_group(group)
         radius = rng.randint(1, 2)
         assert certify.ball_sizes(gens, radius) == pairwise_ball_sizes(gens, radius)
+    return cases
+
+
+def check_random_orbits(rng: Random, cases: int) -> int:
+    """On random automata, for the standard generators and for a few random
+    words: `orbits` against `orbits_reference` at depths 1-6 (1-4 on the
+    ternary tree), and `orbit_chain` at the root against
+    `orbit_chain_reference` at the deepest of them."""
+    for _ in range(cases):
+        group = random_automaton(rng)
+        words = [random_word(group, rng, 6) for _ in range(rng.randint(1, 3))]
+        top = 6 if group.degree == 2 else 4
+        for gens in (GenSet.from_group(group), GenSet.from_elements(words)):
+            for depth in range(1, top + 1):
+                assert subgroups.orbits(gens, depth) == orbits_reference(gens, depth), (
+                    f"orbits of {gens.names} at depth {depth}"
+                )
+            assert subgroups.orbit_chain(gens, ".", top) == orbit_chain_reference(gens, ".", top), (
+                f"orbit chain of {gens.names}"
+            )
     return cases

@@ -19,6 +19,7 @@ from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP, REFINE_CAP
 from agroups.formats import (
     _FORMS,
     _READ,
+    MAX_FILE_BYTES,
     format_group_file,
     parse_certificate,
     parse_group_file,
@@ -680,6 +681,20 @@ def test_unreadable_files_exit_2(tmp_path, capsys, option, kind):
     assert err.startswith("agt: error: cannot read '") and err.count("\n") == 1, err
 
 
+def test_end_of_word_errors_name_a_column(tmp_path, capsys):
+    # the column one past the word's last character; these named the line alone
+    for text, message in (("(a b", "col 5: unexpected end of word"), ("a^", "col 3: dangling '^'"),
+                          ("[a, b ", "col 7: unexpected end of word")):
+        with pytest.raises(ParseError) as excinfo:
+            word_letters(text)
+        assert (str(excinfo.value), excinfo.value.col) == (message, len(text) + 1)
+    assert run_cli(capsys, "trivial", *G, "--word", "(a b") == (
+        2, "", "agt: error: col 5: unexpected end of word\n")
+    (tmp_path / "end.cert").write_text("suite s\ngroup grigorchuk\ntrivial (a b\n", encoding="utf-8")
+    assert run_cli(capsys, "certify", *G, "--suite", str(tmp_path / "end.cert")) == (
+        2, "", "agt: error: line 3, col 5: unexpected end of word\n")
+
+
 def test_unreadable_path_is_named_as_pathlib_spells_it(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "input").mkdir()
@@ -804,6 +819,53 @@ def test_group_file_reader_keeps_no_rows_past_the_cell_cap():
     with pytest.raises(ParseError) as excinfo:
         parse_group_file("group chain\nalphabet 2\n" + "\n".join(rows))
     assert excinfo.value.line == n + 2 and str(excinfo.value).startswith(f"line {n + 2}: malformed cycle")
+
+
+def test_file_bytes_are_bounded(tmp_path):
+    # under this limit a 6,000,000-state chain (171.8 MB) ended in a MemoryError traceback
+    # at text.splitlines(), and a 200 MB sparse file of NULs in core._shown, quoting its
+    # 200,000,000-character keyword; each now exits 2 on the byte cap before it is decoded
+    n = 6_000_000
+    with open(tmp_path / "chain.agt", "w", encoding="utf-8") as file:
+        file.write("group chain\nalphabet 2\n")
+        file.writelines(f"gen s{i} = (s{i + 1}, 1)\n" for i in range(n - 1))
+        file.write(f"gen s{n - 1} = (1, 1) (1 2)\n")
+    with open(tmp_path / "big.agt", "wb") as file:
+        file.truncate(200_000_000)
+    try:
+        for name, argv in (("chain.agt", ["eval", "--group", "chain.agt", "--word", "s0"]),
+                           ("big.agt", ["eval", "--group", "big.agt", "--word", "s0"]),
+                           ("big.agt", ["certify", *G, "--suite", "big.agt"])):
+            start = time.monotonic()
+            code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
+            want = f"agt: error: cannot read {name!r}: over {MAX_FILE_BYTES} bytes\n"
+            assert (code, err) == (2, want) and len(err) <= 200, (argv, err)
+            assert time.monotonic() - start < 10, argv
+    finally:
+        (tmp_path / "chain.agt").unlink()
+        (tmp_path / "big.agt").unlink()
+
+
+def test_files_are_read_up_to_the_byte_cap(tmp_path, capsys):
+    # a file of exactly MAX_FILE_BYTES bytes is read and parsed; one byte more is refused
+    path = tmp_path / "one.agt"
+    path.write_bytes(b"nonsense" + b" " * (MAX_FILE_BYTES - 8))
+    assert run_cli(capsys, "eval", "--group", str(path), "--word", "a") == (
+        2, "", "agt: error: line 1: unknown keyword 'nonsense'\n")
+    with open(path, "ab") as file:
+        file.write(b" ")
+    code, out, err = run_cli(capsys, "eval", "--group", str(path), "--word", "a")
+    assert (code, out) == (2, "") and err.endswith(f": over {MAX_FILE_BYTES} bytes\n"), err
+    # a pipe is read to its end, past the reader's first 64 KiB, though a raw read may stop short
+    n = 10_000
+    rows = "".join(f"gen s{i} = (s{i + 1}, 1)\n" for i in range(n - 1))
+    text = f"group chain\nalphabet 2\n{rows}gen s{n - 1} = (1, 1) (1 2)\n"
+    assert len(text) > 3 << 16
+    proc = subprocess.run(
+        [sys.executable, "-m", "agroups.cli", "eval", "--group", "/dev/stdin", "--word", f"s{n - 1}"],
+        input=text, capture_output=True, encoding="utf-8", env=_env(), cwd=tmp_path, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "") and "perm: (1 2)" in proc.stdout, proc.stderr
 
 
 def test_level_stabilizer_transversal_is_bounded(tmp_path):

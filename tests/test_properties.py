@@ -54,6 +54,11 @@ def test_random_automata_match_references():
     assert pc.check_random_automata(Random(31), 40) == 40
 
 
+def test_random_automata_orbits_match_references():
+    # its own seed, so the draws of check_random_automata stay as they were
+    assert pc.check_random_orbits(Random(37), 60) == 60
+
+
 def _planted_word(group, rng: Random, maxlen: int):
     """Letters of a random word of length 0..`maxlen`, reduced, in which a
     conjugate ``u x u^-1`` or a pair ``x y^-1`` is planted now and then: where
