@@ -14,13 +14,12 @@ the interned automaton ids of :mod:`agroups.decide`.
 from __future__ import annotations
 
 import time
-from itertools import product, repeat
 from string import Formatter
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
-from .core import _Record, _clip, _shown, format_cycles, format_vertex
+from .core import MAX_DIGITS, _Record, _clip, _printable, _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -307,40 +306,69 @@ class FreeSemigroupResult(NamedTuple):
     collision: Optional[Tuple[Element, Element]]  # first colliding pair
 
 
+def _word_count(k: int, maxlen: int) -> int:
+    """k + k^2 + ... + k^maxlen, the positive words of length 1..maxlen over k
+    letters; BoundExceeded if that has over MAX_DIGITS digits."""
+    what = f"the count of positive words up to length {_clip(str(maxlen))}"
+    # for k >= 2 it is at least 2^maxlen, and 2^(4 MAX_DIGITS) = 16^MAX_DIGITS is
+    # over MAX_DIGITS digits long, so a longer maxlen is refused before any power of k
+    if k > 1 and maxlen > 4 * MAX_DIGITS:
+        raise BoundExceeded(f"{what} has over {MAX_DIGITS} digits")
+    return _printable(k * maxlen if k < 2 else (k ** (maxlen + 1) - k) // (k - 1), what)
+
+
+def _spell(length: int, position: int, k: int) -> list:
+    """The generator indices of the word at `position` among the words of
+    `length` over k letters in product() order: its base-k digits."""
+    idxs = [0] * length
+    for i in range(length - 1, -1, -1):
+        position, idxs[i] = divmod(position, k)
+    return idxs
+
+
 def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     """Count pairwise distinct nonempty positive words of length <= maxlen.
 
     Words are enumerated in length-then-lexicographic generator order and
     deduplicated by interned id; the first collision (if any) is reported
-    as (earlier word, later word).  Raises BoundExceeded before a length
-    whose new words would bring the ids held past `decide.BALL_CAP`.
+    as (earlier word, later word).  The count stops at the first length
+    that brings no new id: each of its words equals a shorter one, and so
+    does each longer word.  Raises BoundExceeded if the number of words has
+    over MAX_DIGITS digits, or before a length whose new words would bring
+    the ids held past `decide.BALL_CAP`.
     """
     if maxlen < 1:
         raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
+    total = _word_count(len(gens.elements), maxlen)
     table = decide._InternTable(gens.group)
     letters = [table.intern(e) for e in gens.elements]
-    first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
+    # id -> (length, position) of its first word: until the first collision the words of
+    # a length come in product() order, so the position's base-k digits spell the word
+    first: Dict[int, Tuple[int, int]] = {}
     collision = None
-    level, total = [0], 0
+    level = [0]
     for length in range(1, maxlen + 1):
         if len(first) + len(level) * len(letters) > decide.BALL_CAP:
             raise BoundExceeded(
                 f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
             )
-        # one id per word in product() order until the first collision; after
-        # it one per distinct id, as equal words have equal extensions
+        # one id per word until the first collision, so a position names a word;
+        # after it one per distinct id, as equal words have equal extensions
         level = table.products(level, letters)
-        words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
-        for idxs, x in zip(words, level):
+        held = len(first)
+        for position, x in enumerate(level):
             if x not in first:
-                first[x] = idxs
+                first[x] = (length, position)
             elif collision is None:
-                collision = (first[x], idxs)
+                collision = (first[x], (length, position))
+        if len(first) == held:
+            break
         level = list(dict.fromkeys(level))
-        total += len(letters) ** length
     table.log("free_semigroup_check")
     pair = None if collision is None else tuple(
-        gens.group.element([x for i in idxs for x in gens.elements[i].letters]) for idxs in collision
+        gens.group.element([x for i in _spell(length, position, len(letters))
+                            for x in gens.elements[i].letters])
+        for length, position in collision
     )
     return FreeSemigroupResult(maxlen, total, len(first), pair)
 

@@ -11,7 +11,6 @@ errors, out-of-range numbers included.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -92,12 +91,8 @@ def _emit(args, payload: Optional[dict], text_lines: Iterable[str]) -> None:
     """Print the payload as JSON under --json, else the text lines, read only here."""
     if payload is not None and args.json:
         out: List[str] = []
-        try:
-            _json(payload, "", out)
-            text = "".join(out)
-        except TypeError:  # json.dumps writes what _json does not cover, or names it
-            text = json.dumps(payload, indent=2)
-        print(text)
+        _json(payload, "", out)
+        print("".join(out))
     else:
         for line in text_lines:
             print(line)

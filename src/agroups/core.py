@@ -109,7 +109,9 @@ _NAME = r"[A-Za-z_][A-Za-z0-9_@.]*"  # state, group and suite names, in every gr
 _NAME_RE = re.compile(_NAME + r"\Z")
 
 VERTEX_CAP = 100_000  # vertices in one level, or vertex entries in one Schreier transversal
-MAX_DIGITS = 640  # digits in a number read from text; Python's int() reads at least 640
+# digits in a number read from text, or in a count written (the tests, golden calls
+# and benchmark write 4: free-semigroup totals up to 2,046); Python's int() reads at least 640
+MAX_DIGITS = 640
 SHOWN = 60  # characters of outside text that an error message echoes
 # Letters in a word built from a short text or a power, checked before each
 # expansion, so that neither can exhaust memory.
@@ -117,11 +119,24 @@ MAX_WORD_LETTERS = 1 << 20
 # cells (states x alphabet size) of one presentation, checked before any state is
 # built; a binary state costs about 1.5 KiB, so 2^17 cells stay near 100 MiB
 CELL_CAP = 1 << 17
+# entries (words x vertices) of the level permutations one call composes, checked before
+# a level is built; the tests, golden calls and benchmark reach 8,384,512 (2,047 words on
+# binary level 12)
+LEVEL_ENTRY_CAP = 1 << 24
+_DIGITS_BOUND = 10 ** MAX_DIGITS  # the least number of over MAX_DIGITS digits
 
 
 def _is_number(text: str) -> bool:
     """True iff `text` is ASCII digits, at most MAX_DIGITS of them."""
     return text.isascii() and text.isdigit() and len(text) <= MAX_DIGITS
+
+
+def _printable(n: int, what: str) -> int:
+    """`n`, if it has at most MAX_DIGITS digits; BoundExceeded naming `what` if not.
+    Python turns no number of over 4,300 digits into text."""
+    if abs(n) >= _DIGITS_BOUND:
+        raise BoundExceeded(f"{what} has over {MAX_DIGITS} digits")
+    return n
 
 
 def _clip(text: str) -> str:
@@ -380,9 +395,16 @@ class GroupDef:
                 )
         return v
 
-    def _check_level(self, level: int) -> None:
+    def _check_level(self, level: int, words: Sequence["Element"] = ()) -> None:
+        """BoundExceeded if level `level` has over VERTEX_CAP vertices, or if the
+        permutations of `words` on it hold over LEVEL_ENTRY_CAP entries."""
         if _level_over(self.degree, level, VERTEX_CAP):
             raise BoundExceeded(f"level {_clip(str(level))} has over {VERTEX_CAP} vertices")
+        if len(words) * self.degree ** level > LEVEL_ENTRY_CAP:
+            raise BoundExceeded(
+                f"{len(words)} words on the {self.degree ** level} vertices of level {level}"
+                f" exceed {LEVEL_ENTRY_CAP} entries"
+            )
 
     def vertices(self, level: int) -> Iterator[Vertex]:
         """All level-`level` vertices in lexicographic order."""
@@ -398,9 +420,11 @@ class GroupDef:
 
         A letter's permutation of level n follows from its table entry and its
         sections' permutations of level n - 1, as rank(i w) = (i - 1) d^(n-1) +
-        rank(w).  Each is built on first use and kept for the call; each level
-        is checked against VERTEX_CAP before it is built.
+        rank(w).  Each is built on first use and kept for the call.  Level
+        `depth`, which has the most vertices and entries, is checked against
+        VERTEX_CAP and LEVEL_ENTRY_CAP before any level is built.
         """
+        self._check_level(depth, words)
         perms = {}
         for n in range(depth + 1):
             yield self._level(words, n, perms)
@@ -412,7 +436,7 @@ class GroupDef:
     def _level(self, words: Sequence["Element"], n: int, perms: dict) -> Tuple[array, ...]:
         """Each word's permutation of level n.  ``perms[x, m]`` memoizes letter x's
         permutation of level m; x = None is the identity, whose slices are identity blocks."""
-        self._check_level(n)
+        self._check_level(n, words)
         d, table = self.degree, self._table
 
         def perm(x: Optional[Letter], m: int) -> array:
@@ -656,11 +680,17 @@ class Element:
         """The image of the vertex `v` and the letters of the section there.
         Each letter, right to left, walks down v; a letter that reaches the
         bottom ends in a state, and these states, reduced in reverse, spell
-        the section."""
+        the section.  BoundExceeded if letters x depth passes MAX_WORD_LETTERS."""
         table = self.group._table
         out = list(self.group.vertex(v))
         if not out:
             return (), self.letters
+        # the tests, golden calls and benchmark reach 4,096 letters x depth
+        if len(self.letters) * len(out) > MAX_WORD_LETTERS:
+            raise BoundExceeded(
+                f"a {len(self.letters)}-letter word down a {len(out)}-letter vertex"
+                f" takes over {MAX_WORD_LETTERS} steps"
+            )
         word = [None]  # a sentinel that cancels no letter
         for state in reversed(self.letters):
             for depth, i in enumerate(out):

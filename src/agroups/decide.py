@@ -46,7 +46,7 @@ import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords
-from .core import _clip, _level_over, _shown
+from .core import _clip, _level_over, _printable, _shown
 
 __all__ = [
     "OrderResult",
@@ -605,6 +605,7 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     Level by level expansion; each level keeps a multiset of nontrivial
     section words.  Triviality checks are memoized per invocation, and they
     share its expansions, so each distinct section word is expanded once.
+    BoundExceeded once a count has over MAX_DIGITS digits.
     """
     if levels < 0:
         raise BadArgument(f"levels must be nonnegative, got {_clip(str(levels))}")
@@ -633,5 +634,6 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
                     old = nxt.get(s.letters)
                     nxt[s.letters] = (s, mult if old is None else old[1] + mult)
         current = nxt
-        counts.append(sum(c for _, c in current.values()))
+        count = sum(c for _, c in current.values())
+        counts.append(_printable(count, f"the activity count of level {len(counts)}"))
     return tuple(counts)

@@ -229,6 +229,12 @@ def _schreier(gens: GenSet, base: object, actions):
                     discovered.append(y)
                     if len(transversal) * len(base) > VERTEX_CAP:
                         raise BoundExceeded(f"transversal exceeded {VERTEX_CAP} vertex entries")
+                    # one raw generator per pair; the tests, golden calls and
+                    # benchmark reach 16,384 pairs
+                    if len(transversal) * len(steps) > decide.BALL_CAP:
+                        raise BoundExceeded(
+                            f"Schreier pass exceeded {decide.BALL_CAP} point-generator pairs"
+                        )
                 else:
                     raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
         frontier = discovered

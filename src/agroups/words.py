@@ -14,10 +14,9 @@ the empty word.
 to the grammar.
 
 :func:`read_word` reads a word once, where a file is loaded: it returns a
-:class:`Word`, which is still the text and also carries its letters, so
-that :func:`parse_word` only resolves their names against a group.  A
-printed-form word builds its letters piece by piece there too; any other
-text goes to the grammar, whose errors name the line and column.
+:class:`Word`, which is still the text and also carries the letters the
+grammar reads in it, so that :func:`parse_word` only resolves their names
+against a group.  Grammar errors name the line and column.
 """
 
 from __future__ import annotations
@@ -163,24 +162,10 @@ class Word(str):
     __slots__ = ("letters",)
 
 
-# one piece of a word as elements print it: NAME or NAME^-1
-_PRINTED_RE = re.compile(rf"({_NAME})(\^-1)?\Z")
-
-
 def read_word(text: str, line: Optional[int] = None) -> Word:
     """`text` as a :class:`Word`, read once; a ParseError at `line` if it is no word."""
-    pieces = text.split()  # at the tokenizer's whitespace, as in parse_word
-    letters = []
-    if len(pieces) <= MAX_WORD_LETTERS:
-        for piece in pieces:
-            m = _PRINTED_RE.match(piece)
-            if m is None:
-                break
-            letters.append((m[1], -1 if m[2] else 1))
-    if not pieces or len(letters) < len(pieces):
-        letters = word_letters(text, line)
     word = Word(text)
-    word.letters = tuple(letters)
+    word.letters = tuple(word_letters(text, line))
     return word
 
 

@@ -39,11 +39,14 @@ is the keyword-by-keyword `.cert` reader that the assertion forms of
 `agroups.certify` replaced.  `parse_group_file_reference` is the `.agt`
 reader as it was before a clean `gen` line was read by one regex.  Both
 read tuples and cycles with their own copies of the readers of
-`agroups.formats`.
+`agroups.formats`.  `free_semigroup_reference` is
+`certify.free_semigroup_check` as it was before it kept a position per id
+in place of its first word and stopped at the first length with no new id.
 """
 
 import re
 from collections import deque
+from itertools import product, repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from agroups import certify, decide
@@ -877,3 +880,41 @@ def parse_group_file_reference(text: str) -> GroupDef:
         if keyword not in header:
             raise ParseError(f"missing {keyword!r} line")
     return make_group(header["alphabet"], rows, name=header["group"])
+
+
+def free_semigroup_reference(gens: GenSet, maxlen: int) -> certify.FreeSemigroupResult:
+    """Count pairwise distinct nonempty positive words of length <= maxlen.
+
+    Words are enumerated in length-then-lexicographic generator order and
+    deduplicated by interned id; the first collision (if any) is reported
+    as (earlier word, later word).  Raises BoundExceeded before a length
+    whose new words would bring the ids held past `decide.BALL_CAP`.
+    """
+    if maxlen < 1:
+        raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
+    table = decide._InternTable(gens.group)
+    letters = [table.intern(e) for e in gens.elements]
+    first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
+    collision = None
+    level, total = [0], 0
+    for length in range(1, maxlen + 1):
+        if len(first) + len(level) * len(letters) > decide.BALL_CAP:
+            raise BoundExceeded(
+                f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
+            )
+        # one id per word in product() order until the first collision; after
+        # it one per distinct id, as equal words have equal extensions
+        level = table.products(level, letters)
+        words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
+        for idxs, x in zip(words, level):
+            if x not in first:
+                first[x] = idxs
+            elif collision is None:
+                collision = (first[x], idxs)
+        level = list(dict.fromkeys(level))
+        total += len(letters) ** length
+    table.log("free_semigroup_check")
+    pair = None if collision is None else tuple(
+        gens.group.element([x for i in idxs for x in gens.elements[i].letters]) for idxs in collision
+    )
+    return certify.FreeSemigroupResult(maxlen, total, len(first), pair)

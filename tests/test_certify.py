@@ -1,4 +1,6 @@
 import logging
+import math
+from random import Random
 
 import pytest
 
@@ -15,10 +17,10 @@ from agroups.certify import (
     free_semigroup_check,
     run_suite,
 )
-from agroups.core import BadArgument, BoundExceeded
+from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded
 from agroups.subgroups import GenSet, rist_elements
 
-from oracles import pairwise_ball_sizes
+from oracles import free_semigroup_reference, pairwise_ball_sizes
 
 
 def test_bundled_suites_pass(grig, bas):
@@ -218,6 +220,69 @@ def test_free_semigroup_stops_before_a_level_past_the_cap(bas, monkeypatch):
     with pytest.raises(BoundExceeded, match="^free semigroup words exceeded 1000 ids at length 9$"):
         free_semigroup_check(gens, 40)
     assert made == [2 ** n for n in range(1, 9)] * 2
+
+
+def test_free_semigroup_matches_reference(grig, bas, odo, aleshin):
+    # seeded generating sets of 1-3 words of 1-3 letters: the same result or the same error
+    # as the count that kept each id's first word and ran every length up to maxlen.
+    # Aleshin's lengths stop at 2: at 3 a count can take seconds in the intern table's refinement
+    rng = Random(25)
+    groups = (grig, bas, odo, aleshin)
+    collided = 0
+    for _ in range(300):
+        group = rng.choice(groups)
+        names = group.state_names
+        elements = [group.element([(rng.choice(names), rng.choice((1, -1)))
+                                   for _ in range(rng.randint(1, 3))]) for _ in range(rng.randint(1, 3))]
+        gens = GenSet.from_elements(elements)
+        maxlen = rng.randint(1, 2 if group is aleshin else 9)
+        outcomes = []
+        for count in (free_semigroup_check, free_semigroup_reference):
+            try:
+                outcomes.append(count(gens, maxlen))
+            except BoundExceeded as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (group.name, [str(e) for e in elements], maxlen)
+        collided += getattr(outcomes[0], "collision", None) is not None
+    assert 50 < collided < 250, collided
+
+
+def test_free_semigroup_stops_at_a_length_with_no_new_id(grig, odo):
+    # a, a a = 1, a a a = a: length 3 brings no new id, and nothing after it can
+    made = []
+    products = decide._InternTable.products
+
+    def counted(table, ps, qs):
+        made.append(len(ps) * len(qs))
+        return products(table, ps, qs)
+
+    gens = GenSet.from_elements([grig.generator("a")])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide._InternTable, "products", counted)
+        res = free_semigroup_check(gens, 10 ** 9)
+    assert (res.total_words, res.distinct, [str(w) for w in res.collision]) == (10 ** 9, 2, ["a", "a a a"])
+    assert made == [1, 1, 1]
+    # a word found by its position alone: the odometer's powers never collide
+    res = free_semigroup_check(GenSet.from_elements([odo.generator("a")]), 3000)
+    assert (res.total_words, res.distinct, res.collision) == (3000, 3000, None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 1000])
+def test_free_semigroup_totals_have_at_most_max_digits(grig, k):
+    # the largest maxlen whose count of positive words has MAX_DIGITS digits, and one more
+    gens = GenSet.from_elements([grig.generator("a")] * k)
+    if k == 1:
+        maxlen = 10 ** MAX_DIGITS - 1
+    else:
+        maxlen = int((MAX_DIGITS - 1) / math.log10(k)) - 2
+        while len(str(sum(k ** i for i in range(1, maxlen + 2)))) <= MAX_DIGITS:
+            maxlen += 1
+    assert len(str(free_semigroup_check(gens, maxlen).total_words)) == MAX_DIGITS
+    over = f"^the count of positive words up to length .* has over {MAX_DIGITS} digits$"
+    with pytest.raises(BoundExceeded, match=over):
+        free_semigroup_check(gens, maxlen + 1)
+    with pytest.raises(BoundExceeded, match=f"has over {MAX_DIGITS} digits$"):
+        free_semigroup_check(gens, 10 ** 700)  # refused before any power of k is built
 
 
 def test_report_payload_shape(grig):

@@ -238,17 +238,17 @@ def test_json_writer_matches_json_dumps(golden):
     [{1: "a"}, {"a": {None: [True]}}, {"a": (1, 2)}, {"a": [1.5, float("nan")]}, {"b": {False: 0}},
      {"a": [type("Text", (str,), {})("x")]}, {"a": [type("Count", (int,), {})(3)]}],
 )
-def test_emit_falls_back_to_json_dumps(capsys, payload):
-    # values the writer does not cover go to json.dumps, whole, and print what it prints
-    out = []
+def test_emit_refuses_what_the_writer_does_not_cover(capsys, payload):
+    # json.dumps wrote these, though no handler's payload holds them; _emit now refuses
+    # them with _json's TypeError (a key that is not a str, from its string encoder),
+    # before it prints anything
     with pytest.raises(TypeError):
-        cli._json(payload, "", out)
-    cli._emit(argparse.Namespace(json=True), payload, iter(()))
-    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        cli._emit(argparse.Namespace(json=True), payload, iter(()))
+    assert capsys.readouterr().out == ""
 
 
 def test_emit_refuses_what_json_dumps_refuses():
-    with pytest.raises(TypeError, match="not JSON serializable"):
+    with pytest.raises(TypeError, match="^set is not written directly$"):
         cli._emit(argparse.Namespace(json=True), {"a": {1, 2}}, iter(()))
 
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from agroups import decide
+from agroups import core, decide
 from agroups.core import (
     CELL_CAP,
     MAX_WORD_LETTERS,
@@ -144,6 +144,18 @@ def test_powers_are_bounded(grig):
     # the identity stays the identity, however large the exponent
     for n in (0, 3, -3, 10**30, -(10**30)):
         assert (grig.identity() ** n).letters == ()
+
+
+def test_vertex_descent_is_bounded(grig, monkeypatch):
+    # act and section walk each letter down the vertex: letters x depth is bounded by the
+    # word-letter cap (lowered here), checked before the walk
+    monkeypatch.setattr(core, "MAX_WORD_LETTERS", 64)
+    g = parse_word("(b c)^4", grig)
+    assert g.act("2." * 7 + "2") == (2,) * 8 and str(g.section((2,) * 8)) == "d b d b d b d b"
+    for call in (g.act, g.section):
+        with pytest.raises(BoundExceeded, match="^a 8-letter word down a 9-letter vertex takes over 64 "):
+            call((2,) * 9)
+    assert grig.identity().act((2,) * 10**6) == (2,) * 10**6  # no letter walks
 
 
 def test_coords_reproduce_identities(grig, bas):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from agroups import decide
-from agroups.core import BoundExceeded, Element, make_group
+from agroups.core import MAX_DIGITS, BoundExceeded, Element, make_group
 from agroups.words import parse_word
 
 import property_checks as pc
@@ -202,6 +202,16 @@ def test_order_and_activity_caps(bas):
     for levels in (levels + 1, 10**9):
         with pytest.raises(BoundExceeded):
             decide.activity_sequence(a, levels)
+
+
+def test_activity_counts_have_at_most_max_digits():
+    # s = (s, ..., s) (1 2) over 12 letters is active at all 12^n vertices of level n;
+    # 12^593 has 640 digits, and 12^594 could not be printed whole by every Python
+    s = make_group(12, [("s", ("s",) * 12, ((1, 2),))], name="wide").generator("s")
+    counts = decide.activity_sequence(s, 593)
+    assert counts[-1] == 12 ** 593 and len(str(counts[-1])) == MAX_DIGITS
+    with pytest.raises(BoundExceeded, match=f"^the activity count of level 594 has over {MAX_DIGITS} digits"):
+        decide.activity_sequence(s, decide.ACTIVITY_LEVELS_CAP)
 
 
 def test_portrait_consistency(grig, bas):

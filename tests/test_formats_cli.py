@@ -762,13 +762,18 @@ def test_import_and_ball_load_no_heavy_modules():
     assert "logging" not in ran, ran
 
 
-def _limited(argv, tmp_path):
-    """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
+def _limited_run(argv, tmp_path) -> subprocess.CompletedProcess:
+    """Run `python argv` under a 512 MiB address-space limit."""
     limit = 512 << 20
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, *argv], capture_output=True, encoding="utf-8", env=_env(), cwd=tmp_path,
         timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
+
+
+def _limited(argv, tmp_path):
+    """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
+    proc = _limited_run(argv, tmp_path)
     return proc.returncode, proc.stderr
 
 
@@ -956,6 +961,49 @@ def test_free_semigroup_words_are_bounded(tmp_path):
         f"agt: error: free semigroup words exceeded {BALL_CAP} ids at length 18\n"
     ), err
     assert time.monotonic() - start < 30
+
+
+_DEEP = ".".join("2" * 10_000)  # a 10,000-letter vertex
+_WIDE12 = "group wide\nalphabet 12\ngen s = (" + ", ".join("s" * 12) + ") (1 2)\n"
+_RNG = random.Random(25)
+_THREE_LETTER_WORDS = ";".join(" ".join(_RNG.choices("abcd", k=3)) for _ in range(3000))
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["freesemigroup", "--group", "odometer", "--maxlen", "100000"],
+         "100000 distinct of 100000 positive words\n"),
+        (["freesemigroup", *G, "--gens", "a", "--maxlen", "1000000000"],
+         "2 distinct of 1000000000 positive words\nfirst collision: a = a a a\n"),
+        (["freesemigroup", *G, "--gens", "b;c", "--maxlen", "20000"], None),
+        (["activity", "--group", "wide.agt", "--word", "s", "--levels", "4096"], None),
+        (["orbits", *G, "--depth", "12", "--gens", ";".join(["a b"] * 30_000)], None),
+        (["stab", *G, "--level", "4", "--gens", _THREE_LETTER_WORDS], None),
+        (["act", *G, "--word", "(b c)^5000", "--vertex", _DEEP], None),
+        (["certify", *G, "--suite", "deep.cert"], None),
+    ],
+    ids=["odometer maxlen", "finite maxlen", "total digits", "activity digits", "level entries",
+         "schreier pairs", "act depth", "cert projection depth"],
+)
+def test_hostile_requests_answer_or_exit_2(tmp_path, argv, answer):
+    # under this limit the odometer count and the level action of 30,000 generators ended in
+    # MemoryError tracebacks, as did the Schreier pass of 3,000 generators; the two counts of
+    # over 4,300 digits in ValueError tracebacks; the deep act and projection witness answered
+    # after 10-20 s; and the one-generator count would have run for about 48 minutes
+    (tmp_path / "wide.agt").write_text(_WIDE12, encoding="utf-8")
+    (tmp_path / "deep.cert").write_text(
+        f"suite deep\nprojection_witness {_DEEP} : (b c)^5000 -> 1\n", encoding="utf-8"
+    )
+    start = time.monotonic()
+    proc = _limited_run(["-m", "agroups.cli", *argv], tmp_path)
+    if answer is None:
+        err = proc.stderr
+        assert proc.returncode == 2 and err.startswith("agt: error: "), err[-300:]
+        assert err.count("\n") == 1 and len(err.encode()) <= 200, err
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer, "")
+    assert time.monotonic() - start < 10
 
 
 def test_closed_pipe_exits_without_traceback():

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from agroups import decide, subgroups
+from agroups import core, decide, subgroups
 from agroups.certify import InLevelStab, ball_sizes
 from agroups.cli import schreier_dot
 from agroups.subgroups import (
@@ -23,7 +23,7 @@ from agroups.subgroups import (
     vertex_stabilizer_gens,
 )
 from agroups.core import VERTEX_CAP, BoundExceeded, Element, EngineError, MixedGroups, format_vertex
-from agroups.core import make_group
+from agroups.core import GroupDef, make_group
 from agroups.words import parse_word
 
 from oracles import (
@@ -292,6 +292,35 @@ def test_supported_only_at_matches_whole_level_check(grig, bas, odo, rot3, alesh
         with pytest.raises(BoundExceeded) as whole:
             is_supported_only_at_reference(g, vertex)
         assert str(walk.value) == str(whole.value) and str(VERTEX_CAP) in str(walk.value)
+
+
+def test_level_action_entries_are_bounded(grig, monkeypatch):
+    # words x vertices of the deepest level, checked before any level is built (cap lowered)
+    monkeypatch.setattr(core, "LEVEL_ENTRY_CAP", 64)
+    gens = GenSet.from_elements([grig.generator("a")] * 8)
+    assert orbits(gens, 3).counts == (1, 1, 2, 4)
+    built, level = [], GroupDef._level
+
+    def counted(group, words, n, perms):
+        out = level(group, words, n, perms)
+        built.append(n)
+        return out
+
+    monkeypatch.setattr(GroupDef, "_level", counted)
+    for call in (lambda: orbits(gens, 4), lambda: grig.level_perm(gens.elements, 4)):
+        with pytest.raises(BoundExceeded, match="^8 words on the 16 vertices of level 4 exceed 64 entries$"):
+            call()
+    assert built == []
+
+
+def test_schreier_pairs_are_bounded(grig, monkeypatch):
+    # one raw generator per (point, generator) pair: points x generators is bounded by
+    # BALL_CAP (lowered here) as the transversal grows. Grigorchuk's level 2 has 8 configurations
+    monkeypatch.setattr(decide, "BALL_CAP", 32)
+    gens = GenSet.from_group(grig)
+    assert len(stabilizer_gens(gens, 2).transversal) == 8
+    with pytest.raises(BoundExceeded, match="^Schreier pass exceeded 32 point-generator pairs$"):
+        stabilizer_gens(GenSet.from_elements(gens.elements * 2), 2)
 
 
 def test_rist_checks_each_ball_element_once(grig, bas, monkeypatch):

@@ -254,7 +254,7 @@ def _certificate_words(cert):
                 yield from value
 
 
-def test_read_words_carry_the_grammars_letters(grig, bas, odo, monkeypatch):
+def test_read_words_carry_the_grammars_letters(grig, bas, odo):
     # a word read once at load carries word_letters' letters, or raises its error, message
     # and column; parse_word of it gives what parse_word of its text gives, on each group
     draw, printed = _draws(grig)
@@ -275,22 +275,10 @@ def test_read_words_carry_the_grammars_letters(grig, bas, odo, monkeypatch):
         read += 1
     assert read > 5_000, read
 
-    # printed forms are read without the grammar, up to the letter bound (lowered here, for
-    # speed); one letter over it, the grammar gives its error at the letter's column
-    monkeypatch.setattr(words, "word_letters", _raising)
-    for text in [t for forms in printed for t in forms[1:]]:  # forms[0] is joined by ""
-        assert read_word(text).letters == parse_word(text, grig).letters, text
-    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 8)
-    assert read_word("a^-1 " * 8).letters == (("a", -1),) * 8
-    monkeypatch.setattr(words, "word_letters", word_letters)
-    with pytest.raises(ParseError) as excinfo:
-        read_word("a " * 9, 3)
-    assert str(excinfo.value) == "line 3, col 17: word longer than 8 letters"
-
 
 @pytest.mark.parametrize("suite", corpus.CERTIFICATES)
 def test_certificate_words_are_parsed_once(monkeypatch, capsys, suite):
-    # a certify request runs the grammar at most once per .cert word, all at load
+    # a certify request runs the grammar exactly once per .cert word, all at load
     grammar, calls = word_letters, []
 
     def counted(text, line=None):
@@ -302,7 +290,7 @@ def test_certificate_words_are_parsed_once(monkeypatch, capsys, suite):
     texts = Counter(map(str, _certificate_words(cert)))
     calls.clear()
     assert cli.main(["certify", "--group", cert.group_name, "--suite", suite, "--json"]) == 0
-    assert not Counter(calls) - texts, calls
+    assert Counter(calls) == texts, calls
     calls.clear()
     report = run_suite(cert, corpus.load_group(cert.group_name))
     assert report.passed and calls == []
