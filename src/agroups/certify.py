@@ -385,6 +385,8 @@ def ball_sizes(
     """
     if radius < 0:
         raise BadArgument(f"radius must be nonnegative, got {_clip(str(radius))}")
+    if radius > decide.BALL_CAP:  # a ball within the cap has at most that many non-empty spheres
+        raise BoundExceeded(f"radius {_clip(str(radius))} exceeds cap {decide.BALL_CAP}")
     if not 1 <= max_elements <= decide.BALL_CAP:
         raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_clip(str(max_elements))}")
     table = decide._InternTable(gens.group)

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
-from .core import EngineError, GroupDef, _clip, _shown, format_vertex
+from .core import EngineError, GroupDef, _clip, _is_number, _shown, format_vertex
 from .decide import Portrait
 from .subgroups import GenSet, OrbitTable
 from .words import parse_word
@@ -176,9 +176,20 @@ def chain_dot(report: subgroups.OrbitChainReport) -> str:
 # mode, so a --json request formats none of it; lines reuse the payload's strings.
 Result = Tuple[Optional[dict], Iterable[str], int]
 
+
+def _integer(text: str) -> int:
+    """An optional '-' and at most MAX_DIGITS ASCII digits, as .cert reads a number."""
+    if not _is_number(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # the type's name in argparse's messages and the golden option sets
+
+
 # An option is (flag, argparse keywords); shared options are declared once.
 REQUIRED = {"required": True}
-INT = {"type": int, "required": True}
+INT = {"type": _integer, "required": True}
 GROUP = ("--group", {**REQUIRED, "help": ".agt file or bundled group name"})
 JSON = ("--json", {"action": "store_true", "help": "structured output"})
 WORD = ("--word", REQUIRED)
@@ -238,7 +249,8 @@ def cmd_equal(args, group: GroupDef) -> Result:
 
 
 @command(
-    "order", "order of the element, up to a bound", WORD, ("--bound", {"type": int, "default": 64})
+    "order", "order of the element, up to a bound", WORD,
+    ("--bound", {"type": _integer, "default": 64}),
 )
 def cmd_order(args, group: GroupDef) -> Result:
     res = decide.order(parse_word(args.word, group), args.bound)
@@ -328,7 +340,7 @@ def cmd_closure(args, group: GroupDef) -> Result:
     DEPTH,
     GENS,
     ("--dot", {"action": "store_true", "help": "emit one level's action graph"}),
-    ("--level", {"type": int, "help": "level for --dot (default: --depth)"}),
+    ("--level", {"type": _integer, "help": "level for --dot (default: --depth)"}),
 )
 def cmd_orbits(args, group: GroupDef) -> Result:
     level = args.depth if args.level is None else args.level
@@ -362,7 +374,7 @@ def cmd_orbits(args, group: GroupDef) -> Result:
 @command(
     "stab",
     "Schreier generators of a stabilizer",
-    ("--level", {"type": int}),
+    ("--level", {"type": _integer}),
     ("--vertex", {}),
     GENS,
 )
@@ -480,7 +492,7 @@ def cmd_commutator_witness(args, group: GroupDef) -> Result:
     "sizes of word-metric balls",
     ("--radius", INT),
     GENS,
-    ("--cap", {"type": int, "default": decide.BALL_CAP}),
+    ("--cap", {"type": _integer, "default": decide.BALL_CAP}),
 )
 def cmd_ball(args, group: GroupDef) -> Result:
     sizes = certify.ball_sizes(_gens(args, group), args.radius, args.cap)
@@ -557,7 +569,7 @@ def _read_clean(row: tuple, tokens: List[str]) -> Optional[argparse.Namespace]:
             return None
         try:
             values[flag] = keywords.get("type", str)(value)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             return None
     args = argparse.Namespace(command=name, fn=handler)
     for flag, keywords in flags.items():

@@ -238,6 +238,7 @@ def _schreier(gens: GenSet, base: object, actions):
                 else:
                     raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
         frontier = discovered
+    table.log("schreier")
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
 

@@ -18,7 +18,7 @@ from agroups.certify import (
     run_suite,
 )
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded
-from agroups.subgroups import GenSet, rist_elements
+from agroups.subgroups import GenSet, rist_elements, stabilizer_gens
 
 from oracles import free_semigroup_reference, pairwise_ball_sizes
 
@@ -311,8 +311,9 @@ def test_product_loops_log_their_table(grig, caplog):
         free_semigroup_check(gens, 2)
         decide.order(grig.generator("a"), 4)
         rist_elements(gens, "2", 2)
+        stabilizer_gens(gens, 2)
     jobs = [r.getMessage().split(":")[0] for r in caplog.records]
-    assert jobs == ["ball_sizes", "free_semigroup_check", "order", "rist_elements"]
+    assert jobs == ["ball_sizes", "free_semigroup_check", "order", "rist_elements", "schreier"]
     assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)
 
 

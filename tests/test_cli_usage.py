@@ -91,11 +91,12 @@ def test_main_builds_the_table_only_when_the_reader_declines(capsys, monkeypatch
 
 # -- the clean-argv reader against argparse ----------------------------------------
 
-# int() reads each of these, as argparse's type=int does
-INT_VALUES = ["0", "3", "12", "\u0663", "1_0", " 4"]
+# cli._integer reads each of these: ASCII digits, as a .cert number
+INT_VALUES = ["0", "3", "12"]
 STR_VALUES = ["a", "b c d", "", "x=y", "\u0663", "a;;b", "grigorchuk_nea"]
-# values that start with '-' or that int() refuses
-BAD_VALUES = ["-3", "-a", "-a b", "--", "-", "-h", "--json", "", "x", "3.5", "1__0"]
+# values that start with '-' or that cli._integer refuses, int() reading the last three
+BAD_VALUES = ["-3", "-a", "-a b", "--", "-", "-h", "--json", "", "x", "3.5", "1__0",
+              "\u0663", "1_0", " 4"]
 INSERTED = ["-h", "--help", "--", "stray", "-3"]
 
 
@@ -110,7 +111,7 @@ def test_reader_models_every_option_keyword():
             assert flag.startswith("--"), (row[0], flag)
             assert set(keywords) <= {"required", "type", "default", "action", "help"}, (row[0], flag)
             assert keywords.get("action", "store_true") == "store_true", (row[0], flag)
-            assert keywords.get("type", int) is int, (row[0], flag)
+            assert keywords.get("type", cli._integer) is cli._integer, (row[0], flag)
 
 
 def _clean(rng, row):

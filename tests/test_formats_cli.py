@@ -2,10 +2,8 @@ import json
 import os
 import random
 import re
-import resource
 import subprocess
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -14,8 +12,7 @@ import pytest
 from agroups import corpus
 from agroups.certify import Assertion, Certificate, run_suite
 from agroups.cli import main
-from agroups.core import CELL_CAP, MAX_DIGITS, VERTEX_CAP, BadVertex, BoundExceeded, EmptyGroup, EngineError
-from agroups.decide import BALL_CAP, CLOSURE_CAP, LETTER_CAP, REFINE_CAP
+from agroups.core import CELL_CAP, MAX_DIGITS, BadVertex, BoundExceeded, EmptyGroup, EngineError
 from agroups.formats import (
     _FORMS,
     _READ,
@@ -25,6 +22,7 @@ from agroups.formats import (
     parse_group_file,
 )
 from agroups.words import ParseError, word_letters
+import agt_requests
 from oracles import parse_certificate_reference, parse_group_file_reference
 
 
@@ -637,7 +635,7 @@ WIDE = (  # section b of a at letter 1 has a root permutation of 99 letters that
         (["portrait", *G, "--word", "b", "--depth", "-" + NINES], None),
         (["activity", *G, "--word", "b", "--levels", NINES], None),
         (["activity", *G, "--word", "b", "--levels", "-" + NINES], None),
-        (["ball", *G, "--radius", "-" + "9" * 3000], None),
+        (["ball", *G, "--radius", "-" + NINES], None),
         (["ball", *G, "--radius", "2", "--cap", NINES], None),
         (["freesemigroup", *G, "--maxlen", "-" + NINES], None),
         (["certify", *G, "--suite"], f"suite s\ntransitive {NINES}\n"),
@@ -762,53 +760,18 @@ def test_import_and_ball_load_no_heavy_modules():
     assert "logging" not in ran, ran
 
 
-def _limited_run(argv, tmp_path) -> subprocess.CompletedProcess:
-    """Run `python argv` under a 512 MiB address-space limit."""
-    limit = 512 << 20
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, encoding="utf-8", env=_env(), cwd=tmp_path,
-        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+@pytest.mark.parametrize("row", agt_requests.ROWS, ids=[row.id for row in agt_requests.ROWS])
+def test_agt_request(row):
+    report = agt_requests.check(row, [sys.executable, "-m", "agroups.cli"], _env())
+    assert not report, report
+
+
+def test_agt_request_rows():
+    # an exit-2 row expects one `agt: error:` line, or argparse's usage and its error line
+    assert len({row.id for row in agt_requests.ROWS}) == len(agt_requests.ROWS) and all(
+        row.err is None or row.err.startswith(("agt: error: ", "usage: agt "))
+        for row in agt_requests.ROWS if row.code == 2
     )
-
-
-def _limited(argv, tmp_path):
-    """Run `python argv` under a 512 MiB address-space limit; return (code, stderr)."""
-    proc = _limited_run(argv, tmp_path)
-    return proc.returncode, proc.stderr
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["stab", *G, "--level", "24"],
-        ["project", *G, "--vertex", ".".join("1" * 22)],
-        ["rist", *G, "--vertex", ".".join("2" * 24), "--maxlen", "2"],
-        ["certify", *G, "--suite", "level40.cert"],
-        ["eval", "--group", "wide.agt", "--word", "a"],
-    ],
-    ids=["stab level 24", "project depth 22", "rist depth 24", "in_level_stab 40", "alphabet"],
-)
-def test_level_sizes_are_bounded(tmp_path, argv):
-    # each built all d^n vertices or an unbounded transversal: MemoryError under 1 GB;
-    # the wide alphabet raised MemoryError in Perm.identity under this test's 512 MiB
-    (tmp_path / "level40.cert").write_text("suite s\nin_level_stab 40 : a\n", encoding="utf-8")
-    (tmp_path / "wide.agt").write_text("group g\nalphabet 100000000\ngen a = (1, 1)\n", encoding="utf-8")
-    code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
-    assert code == 2 and err.startswith("agt: error: ") and str(VERTEX_CAP) in err, err
-
-
-def test_presentation_size_is_bounded(tmp_path):
-    # a 400,000-state chain (10.6 MB) ended in MemoryError in GroupDef.__init__ under this
-    # limit after about 5 s; make_group now refuses its 800,000 cells before building a state
-    n = 400_000
-    rows = "".join(f"gen s{i} = (s{i + 1}, 1)\n" for i in range(n - 1))
-    (tmp_path / "chain.agt").write_text(
-        f"group chain\nalphabet 2\n{rows}gen s{n - 1} = (1, 1) (1 2)\n", encoding="utf-8"
-    )
-    start = time.monotonic()
-    code, err = _limited(["-m", "agroups.cli", "eval", "--group", "chain.agt", "--word", "s0"], tmp_path)
-    assert (code, err) == (2, f"agt: error: {n} states x 2 letters exceed {CELL_CAP} cells\n")
-    assert time.monotonic() - start < 10
 
 
 def test_group_file_reader_keeps_no_rows_past_the_cell_cap():
@@ -824,31 +787,6 @@ def test_group_file_reader_keeps_no_rows_past_the_cell_cap():
     with pytest.raises(ParseError) as excinfo:
         parse_group_file("group chain\nalphabet 2\n" + "\n".join(rows))
     assert excinfo.value.line == n + 2 and str(excinfo.value).startswith(f"line {n + 2}: malformed cycle")
-
-
-def test_file_bytes_are_bounded(tmp_path):
-    # under this limit a 6,000,000-state chain (171.8 MB) ended in a MemoryError traceback
-    # at text.splitlines(), and a 200 MB sparse file of NULs in core._shown, quoting its
-    # 200,000,000-character keyword; each now exits 2 on the byte cap before it is decoded
-    n = 6_000_000
-    with open(tmp_path / "chain.agt", "w", encoding="utf-8") as file:
-        file.write("group chain\nalphabet 2\n")
-        file.writelines(f"gen s{i} = (s{i + 1}, 1)\n" for i in range(n - 1))
-        file.write(f"gen s{n - 1} = (1, 1) (1 2)\n")
-    with open(tmp_path / "big.agt", "wb") as file:
-        file.truncate(200_000_000)
-    try:
-        for name, argv in (("chain.agt", ["eval", "--group", "chain.agt", "--word", "s0"]),
-                           ("big.agt", ["eval", "--group", "big.agt", "--word", "s0"]),
-                           ("big.agt", ["certify", *G, "--suite", "big.agt"])):
-            start = time.monotonic()
-            code, err = _limited(["-m", "agroups.cli", *argv], tmp_path)
-            want = f"agt: error: cannot read {name!r}: over {MAX_FILE_BYTES} bytes\n"
-            assert (code, err) == (2, want) and len(err) <= 200, (argv, err)
-            assert time.monotonic() - start < 10, argv
-    finally:
-        (tmp_path / "chain.agt").unlink()
-        (tmp_path / "big.agt").unlink()
 
 
 def test_files_are_read_up_to_the_byte_cap(tmp_path, capsys):
@@ -884,126 +822,8 @@ def test_level_stabilizer_transversal_is_bounded(tmp_path):
         "except BoundExceeded:\n"
         "    raise SystemExit(2)\n"
     )
-    assert _limited(["-c", script], tmp_path) == (2, "")
-
-
-def test_level_action_compiles_only_reached_letters(tmp_path):
-    # a 2,047-state binary-tree automaton: s_i = (s_2i+1, s_2i+2) (1 2), the leaves' slots trivial;
-    # one act per vertex took about a minute for each call below
-    n = 2047
-    rows = (f"gen s{i} = ({', '.join(f's{j}' if j < n else '1' for j in (2 * i + 1, 2 * i + 2))}) (1 2)"
-            for i in range(n))
-    (tmp_path / "tree.agt").write_text("group tree\nalphabet 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    (tmp_path / "tree.cert").write_text("suite s\ntransitive 12\nin_level_stab 16 : s0\n", encoding="utf-8")
-    for argv, want in (
-        (["orbits", "--group", "tree.agt", "--depth", "12"], 0),
-        (["certify", "--group", "tree.agt", "--suite", "tree.cert"], 1),  # both assertions fail
-    ):
-        start = time.monotonic()
-        assert _limited(["-m", "agroups.cli", *argv], tmp_path) == (want, "")
-        assert time.monotonic() - start < 30, argv
-
-
-def test_section_closure_is_bounded(tmp_path):
-    # a positive 13-letter Aleshin word has a closure of 3^13 = 1,594,323 section words
-    aleshin = str(Path(__file__).with_name("aleshin.agt"))
-    start = time.monotonic()
-    code, err = _limited(["-m", "agroups.cli", "closure", "--group", aleshin, "--word",
-                          "c a b b c a b a c a b b a"], tmp_path)
-    assert code == 2 and err == f"agt: error: section closure exceeded {CLOSURE_CAP} nodes\n", err
-    assert time.monotonic() - start < 20
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["closure", "--word", "(a^-1 b)^512"],
-        ["closure", "--word", "(a^-1 b)^2048"],
-        ["portrait", "--depth", "12", "--word", "(a^-1 b)^2048"],
-        ["activity", "--levels", "40", "--word", "(a^-1 b)^2048"],
-    ],
-    ids=["closure 512", "closure 2048", "portrait 2048", "activity 2048"],
-)
-def test_long_section_words_are_bounded(tmp_path, argv):
-    # sections of (a^-1 b)^k in the free Aleshin group keep about 2k letters. Without a
-    # letter cap the closure of k = 512 took 41 s to exit 2 at the node cap, k = 2048 ended
-    # in MemoryError under this limit, and the portrait and activity ran past a minute.
-    # Each exits 2 in about 0.6 s here.
-    aleshin = str(Path(__file__).with_name("aleshin.agt"))
-    start = time.monotonic()
-    code, err = _limited(["-m", "agroups.cli", argv[0], "--group", aleshin, *argv[1:]], tmp_path)
-    assert code == 2 and err == (
-        f"agt: error: section words of one call exceeded {LETTER_CAP} letters\n"
-    ), err
-    assert time.monotonic() - start < 10
-
-
-@pytest.mark.parametrize(
-    "argv", [["stab", "--level", "2"], ["order", "--word", "s0^-1 s1^-1"]], ids=["stab", "order"]
-)
-def test_intern_table_refinement_is_bounded(tmp_path, argv):
-    # a random 4-state ternary automaton. Each ended in MemoryError under this limit
-    # after 13-18 s, building a canonical key for every class a slow path left unmatched;
-    # each exits 2 in 1.6-3.3 s here.
-    rand4 = str(Path(__file__).with_name("rand4.agt"))
-    start = time.monotonic()
-    code, err = _limited(["-m", "agroups.cli", argv[0], "--group", rand4, *argv[1:]], tmp_path)
-    assert code == 2 and err == f"agt: error: intern table refinement exceeded {REFINE_CAP} nodes\n", err
-    assert time.monotonic() - start < 10
-
-
-def test_free_semigroup_words_are_bounded(tmp_path):
-    # basilica's positive words are distinct, 2^maxlen of them at length maxlen; up to
-    # length 18 they would be 524,286 ids. It used to raise MemoryError under 1 GiB.
-    start = time.monotonic()
-    code, err = _limited(["-m", "agroups.cli", "freesemigroup", *B, "--maxlen", "40"], tmp_path)
-    assert code == 2 and err == (
-        f"agt: error: free semigroup words exceeded {BALL_CAP} ids at length 18\n"
-    ), err
-    assert time.monotonic() - start < 30
-
-
-_DEEP = ".".join("2" * 10_000)  # a 10,000-letter vertex
-_WIDE12 = "group wide\nalphabet 12\ngen s = (" + ", ".join("s" * 12) + ") (1 2)\n"
-_RNG = random.Random(25)
-_THREE_LETTER_WORDS = ";".join(" ".join(_RNG.choices("abcd", k=3)) for _ in range(3000))
-
-
-@pytest.mark.parametrize(
-    "argv, answer",
-    [
-        (["freesemigroup", "--group", "odometer", "--maxlen", "100000"],
-         "100000 distinct of 100000 positive words\n"),
-        (["freesemigroup", *G, "--gens", "a", "--maxlen", "1000000000"],
-         "2 distinct of 1000000000 positive words\nfirst collision: a = a a a\n"),
-        (["freesemigroup", *G, "--gens", "b;c", "--maxlen", "20000"], None),
-        (["activity", "--group", "wide.agt", "--word", "s", "--levels", "4096"], None),
-        (["orbits", *G, "--depth", "12", "--gens", ";".join(["a b"] * 30_000)], None),
-        (["stab", *G, "--level", "4", "--gens", _THREE_LETTER_WORDS], None),
-        (["act", *G, "--word", "(b c)^5000", "--vertex", _DEEP], None),
-        (["certify", *G, "--suite", "deep.cert"], None),
-    ],
-    ids=["odometer maxlen", "finite maxlen", "total digits", "activity digits", "level entries",
-         "schreier pairs", "act depth", "cert projection depth"],
-)
-def test_hostile_requests_answer_or_exit_2(tmp_path, argv, answer):
-    # under this limit the odometer count and the level action of 30,000 generators ended in
-    # MemoryError tracebacks, as did the Schreier pass of 3,000 generators; the two counts of
-    # over 4,300 digits in ValueError tracebacks; the deep act and projection witness answered
-    # after 10-20 s; and the one-generator count would have run for about 48 minutes
-    (tmp_path / "wide.agt").write_text(_WIDE12, encoding="utf-8")
-    (tmp_path / "deep.cert").write_text(
-        f"suite deep\nprojection_witness {_DEEP} : (b c)^5000 -> 1\n", encoding="utf-8"
-    )
-    start = time.monotonic()
-    proc = _limited_run(["-m", "agroups.cli", *argv], tmp_path)
-    if answer is None:
-        err = proc.stderr
-        assert proc.returncode == 2 and err.startswith("agt: error: "), err[-300:]
-        assert err.count("\n") == 1 and len(err.encode()) <= 200, err
-    else:
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, answer, "")
-    assert time.monotonic() - start < 10
+    proc = agt_requests.limited_run([sys.executable, "-c", script], tmp_path, _env())
+    assert (proc.returncode, proc.stderr) == (2, b"")
 
 
 def test_closed_pipe_exits_without_traceback():
