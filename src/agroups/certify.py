@@ -19,7 +19,7 @@ from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
-from .core import MAX_DIGITS, _Record, _clip, _printable, _shown, format_cycles, format_vertex
+from .core import MAX_DIGITS, _Record, _count, _printable, _shown, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -309,7 +309,7 @@ class FreeSemigroupResult(NamedTuple):
 def _word_count(k: int, maxlen: int) -> int:
     """k + k^2 + ... + k^maxlen, the positive words of length 1..maxlen over k
     letters; BoundExceeded if that has over MAX_DIGITS digits."""
-    what = f"the count of positive words up to length {_clip(str(maxlen))}"
+    what = f"the count of positive words up to length {_shown(maxlen)}"
     # for k >= 2 it is at least 2^maxlen, and 2^(4 MAX_DIGITS) = 16^MAX_DIGITS is
     # over MAX_DIGITS digits long, so a longer maxlen is refused before any power of k
     if k > 1 and maxlen > 4 * MAX_DIGITS:
@@ -337,8 +337,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     over MAX_DIGITS digits, or before a length whose new words would bring
     the ids held past `decide.BALL_CAP`.
     """
-    if maxlen < 1:
-        raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
+    _count(maxlen, "maxlen", 1)
     total = _word_count(len(gens.elements), maxlen)
     table = decide._InternTable(gens.group)
     letters = [table.intern(e) for e in gens.elements]
@@ -383,12 +382,9 @@ def ball_sizes(
     for a fixed generating set.  Raises BoundExceeded past `max_elements`,
     which may lower `decide.BALL_CAP` but not raise it.
     """
-    if radius < 0:
-        raise BadArgument(f"radius must be nonnegative, got {_clip(str(radius))}")
-    if radius > decide.BALL_CAP:  # a ball within the cap has at most that many non-empty spheres
-        raise BoundExceeded(f"radius {_clip(str(radius))} exceeds cap {decide.BALL_CAP}")
+    _count(radius, "radius", 0, decide.BALL_CAP)  # no ball under the cap has more non-empty spheres
     if not 1 <= max_elements <= decide.BALL_CAP:
-        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_clip(str(max_elements))}")
+        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_shown(max_elements)}")
     table = decide._InternTable(gens.group)
     letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     sizes = [1]

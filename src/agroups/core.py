@@ -132,8 +132,7 @@ def _is_number(text: str) -> bool:
 
 
 def _printable(n: int, what: str) -> int:
-    """`n`, if it has at most MAX_DIGITS digits; BoundExceeded naming `what` if not.
-    Python turns no number of over 4,300 digits into text."""
+    """`n`, if it has at most MAX_DIGITS digits; BoundExceeded naming `what` if not."""
     if abs(n) >= _DIGITS_BOUND:
         raise BoundExceeded(f"{what} has over {MAX_DIGITS} digits")
     return n
@@ -145,8 +144,21 @@ def _clip(text: str) -> str:
 
 
 def _shown(value: object) -> str:
-    """repr(value) for an error message, clipped like `_clip`."""
+    """repr(value) for an error message, clipped like `_clip`.  An int of over MAX_DIGITS
+    digits (Python writes none past 4,300) reads ``<over 640 digits>``, after any '-'."""
+    if isinstance(value, int) and abs(value) >= _DIGITS_BOUND:
+        return f"{'-' if value < 0 else ''}<over {MAX_DIGITS} digits>"
     return _clip(repr(value))
+
+
+def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
+    """`n`, if it lies in low..cap; BadArgument below `low`, BoundExceeded above `cap`."""
+    if n < low:
+        least = "nonnegative" if low == 0 else f"at least {low}"
+        raise BadArgument(f"{what} must be {least}, got {_shown(n)}")
+    if cap is not None and n > cap:
+        raise BoundExceeded(f"{what} {_shown(n)} exceeds cap {cap}")
+    return n
 
 
 def _level_over(degree: int, level: int, cap: int) -> bool:
@@ -198,7 +210,7 @@ class Perm:
             cycle = list(cycle)
             for x in cycle:
                 if not 1 <= x <= degree:
-                    raise BadPerm(f"letter {_clip(str(x))} outside 1..{degree}")
+                    raise BadPerm(f"letter {_shown(x)} outside 1..{degree}")
             if len(set(cycle)) != len(cycle):
                 raise BadPerm(f"repeated letter in cycle {_shown(tuple(cycle))}")
             for i, x in enumerate(cycle):
@@ -390,8 +402,8 @@ class GroupDef:
         for letter in v:
             if not 1 <= letter <= self.degree:
                 raise BadVertex(
-                    f"letter {_clip(str(letter))} outside 1..{self.degree}"
-                    f" in vertex {_clip(format_vertex(v))}"
+                    f"letter {_shown(letter)} outside 1..{self.degree}"
+                    f" in vertex {_clip('.'.join(map(_shown, v)))}"
                 )
         return v
 
@@ -399,7 +411,7 @@ class GroupDef:
         """BoundExceeded if level `level` has over VERTEX_CAP vertices, or if the
         permutations of `words` on it hold over LEVEL_ENTRY_CAP entries."""
         if _level_over(self.degree, level, VERTEX_CAP):
-            raise BoundExceeded(f"level {_clip(str(level))} has over {VERTEX_CAP} vertices")
+            raise BoundExceeded(f"level {_shown(level)} has over {VERTEX_CAP} vertices")
         if len(words) * self.degree ** level > LEVEL_ENTRY_CAP:
             raise BoundExceeded(
                 f"{len(words)} words on the {self.degree ** level} vertices of level {level}"
@@ -494,7 +506,7 @@ def _check_size(states: int, degree: int) -> None:
     """BoundExceeded if `degree` letters put over VERTEX_CAP vertices on level 1,
     or `states` states on them pass CELL_CAP cells."""
     if degree > VERTEX_CAP:  # level 1 has one vertex per letter
-        raise BoundExceeded(f"alphabet size {_clip(str(degree))} puts over {VERTEX_CAP} vertices on level 1")
+        raise BoundExceeded(f"alphabet size {_shown(degree)} puts over {VERTEX_CAP} vertices on level 1")
     if states * degree > CELL_CAP:
         raise BoundExceeded(f"{states} states x {degree} letters exceed {CELL_CAP} cells")
 
@@ -513,7 +525,7 @@ def make_group(
     the only form that can detect duplicate names).
     """
     if alphabet_size < 1:
-        raise EngineError(f"alphabet size must be at least 1, got {_clip(str(alphabet_size))}")
+        raise EngineError(f"alphabet size must be at least 1, got {_shown(alphabet_size)}")
     if isinstance(states, Mapping):
         rows = [(n, slots, perm) for n, (slots, perm) in states.items()]
     else:
@@ -588,7 +600,7 @@ class Element:
             if name not in group._states:
                 raise UnknownState(f"no state named {_shown(name)} in group {_shown(group.name)}")
             if exp not in (1, -1):
-                raise EngineError(f"letter exponent must be +1 or -1, got {exp}")
+                raise EngineError(f"letter exponent must be +1 or -1, got {_shown(exp)}")
         self.group = group
         self.letters = _reduce(letters)
 

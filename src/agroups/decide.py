@@ -45,8 +45,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import BadArgument, BoundExceeded, Element, MixedGroups, Perm, WreathCoords
-from .core import _clip, _level_over, _printable, _shown
+from .core import BoundExceeded, Element, MixedGroups, Perm, WreathCoords
+from .core import _count, _level_over, _printable, _shown
 
 __all__ = [
     "OrderResult",
@@ -545,10 +545,7 @@ class OrderResult(NamedTuple):
 
 def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
-    if bound < 1:
-        raise BadArgument(f"bound must be positive, got {_clip(str(bound))}")
-    if bound > ORDER_BOUND_CAP:
-        raise BoundExceeded(f"bound {_clip(str(bound))} exceeds cap {ORDER_BOUND_CAP}")
+    _count(bound, "bound", 1, ORDER_BOUND_CAP)
     table = _InternTable(g.group)
     x = table.intern(g)
     power, n = x, 1
@@ -581,10 +578,9 @@ class Portrait(NamedTuple):
 
 
 def portrait(g: Element, depth: int) -> Portrait:
-    if depth < 0:
-        raise BadArgument(f"depth must be nonnegative, got {_clip(str(depth))}")
+    _count(depth, "depth", 0)
     if _level_over(g.group.degree, depth, PORTRAIT_LEAF_CAP):
-        raise BoundExceeded(f"depth {_clip(str(depth))} gives over {PORTRAIT_LEAF_CAP} leaves")
+        raise BoundExceeded(f"depth {_shown(depth)} gives over {PORTRAIT_LEAF_CAP} leaves")
     expand = _Expansions()
 
     def draw(h: Element, depth: int) -> Portrait:
@@ -607,10 +603,7 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     share its expansions, so each distinct section word is expanded once.
     BoundExceeded once a count has over MAX_DIGITS digits.
     """
-    if levels < 0:
-        raise BadArgument(f"levels must be nonnegative, got {_clip(str(levels))}")
-    if levels > ACTIVITY_LEVELS_CAP:
-        raise BoundExceeded(f"levels {_clip(str(levels))} exceeds cap {ACTIVITY_LEVELS_CAP}")
+    _count(levels, "levels", 0, ACTIVITY_LEVELS_CAP)
     expand = _Expansions()
     memo: Dict[tuple, bool] = {}
 

@@ -24,9 +24,9 @@ the letters that evaluation resolves against the group.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import partial
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 from .certify import Assertion, Certificate
@@ -196,8 +196,8 @@ def _read(path) -> str:
         reason = "not UTF-8 text"
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
-    # the path as pathlib spells it: "./a//b/" is "a/b"
-    raise EngineError(f"cannot read {_shown(str(Path(path)))}: {reason}")
+    # the path normalized: "./a//b/" is "a/b", and "a/../b" is "b"
+    raise EngineError(f"cannot read {_shown(os.path.normpath(os.fspath(path)))}: {reason}")
 
 
 def load_group_file(path) -> GroupDef:

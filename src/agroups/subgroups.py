@@ -26,6 +26,7 @@ from .core import (
     Vertex,
     _Record,
     _clip,
+    _count,
     _shown,
     format_vertex,
     make_group,
@@ -153,10 +154,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
     the parent of v to the parent of v's image, so every member's parent lies
     in the seed's orbit, and every orbit above has a child block.
     """
-    if depth < 1:
-        raise BadArgument(f"depth must be at least 1, got {_clip(str(depth))}")
-    if depth > ORBIT_DEPTH_CAP:
-        raise BoundExceeded(f"depth {_clip(str(depth))} exceeds cap {ORBIT_DEPTH_CAP}")
+    _count(depth, "depth", 1, ORBIT_DEPTH_CAP)
     group = gens.group
     levels = [OrbitLevel(0, (((),),), ())]
     prev_assigned = [0]  # orbit index per rank of the previous level
@@ -259,8 +257,7 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     configuration under left composition, so Schreier's lemma applies to
     the finite orbit of configurations.
     """
-    if level < 0:
-        raise BadArgument(f"level must be nonnegative, got {_clip(str(level))}")
+    _count(level, "level", 0)
     verts = tuple(gens.group.vertices(level))
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
     perms = gens.group.level_perm(gens.elements, level)
@@ -335,18 +332,19 @@ def rist_elements(
     only at `vertex`.
 
     Walks the Cayley ball over the generators and their inverses sphere by
-    sphere, so each element is reported once, by its first word in
-    length-then-generator order.  This is a bounded search, not a
-    membership decision.
+    sphere up to the first empty one, after which none holds an element, so
+    each element is reported once, by its first word in length-then-generator
+    order.  This is a bounded search, not a membership decision.
     """
-    if maxlen < 1:
-        raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
+    _count(maxlen, "maxlen", 1)
     group = gens.group
     vertex = group.vertex(vertex)
     letters = [x for e in gens.elements for x in (e, e.inverse())]
     table = decide._InternTable(group)
     words, found = [group.identity()], []
     for sphere in table.spheres([table.intern(x) for x in letters], maxlen):
+        if not sphere:
+            break
         # the word of an element extends its parent's word by one letter
         words = [words[parent] * letters[i] for _, parent, i in sphere]
         found.extend(w for w in words if is_supported_only_at(w, vertex))
@@ -477,11 +475,11 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
         raise BadArgument(f"slot indices must lie in 1..{d}, got k={_shown(k)}, m={_shown(m)}")
     cs = g.coords()
     if not cs.perm.is_identity():
-        raise NotLevelFixing(f"element {_clip(str(g))} does not fix level 1")
+        raise NotLevelFixing(f"element {_shown(g)} does not fix level 1")
     s = cs.slots[k - 1].coords().perm  # g fixes the root, so its section at k is slot k
     if s(m) == m:
         raise PermFixesM(
-            f"section at letter {k} has root permutation {_clip(str(s))}, which fixes {m}"
+            f"section at letter {k} has root permutation {_shown(s)}, which fixes {m}"
         )
     egroup = embedded_group(group, (k, m))
     g_lift = egroup.element(g.letters)

@@ -25,7 +25,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .core import MAX_DIGITS, MAX_WORD_LETTERS, Element, EngineError, GroupDef, Letter
-from .core import UnknownGenerator, _NAME, _clip, _reduce, _shown
+from .core import UnknownGenerator, _NAME, _reduce, _shown
 
 __all__ = ["ParseError", "Word", "parse_word", "read_word", "word_letters"]
 
@@ -117,7 +117,7 @@ class _WordParser:
         if kind == "int":
             if int(text) == 1:
                 return []
-            raise ParseError(f"unexpected number {_clip(str(int(text)))}", self.line, col)
+            raise ParseError(f"unexpected number {_shown(int(text))}", self.line, col)
         if kind == "(" or kind == "[":
             self.depth += 1
             if self.depth > MAX_NESTING:

@@ -2,11 +2,13 @@ import time
 
 import pytest
 
-from agroups import core, decide
+from agroups import certify, core, decide, subgroups
 from agroups.core import (
     CELL_CAP,
+    MAX_DIGITS,
     MAX_WORD_LETTERS,
     VERTEX_CAP,
+    BadArgument,
     BadPerm,
     BadStateName,
     BadVertex,
@@ -20,6 +22,7 @@ from agroups.core import (
     UnknownState,
     make_group,
 )
+from agroups.subgroups import GenSet
 from agroups.words import parse_word
 
 
@@ -96,14 +99,14 @@ def test_cell_cap_admits_a_table_at_the_cap():
 
 
 def test_errors_clip_echoed_input(grig):
-    # each echoed its input whole: a 3,000-letter image or cycle, a 700-digit letter or a
-    # 5,000-character name
+    # each echoed its input whole: a 3,000-letter image or cycle, a 601-digit letter or a
+    # 5,000-character name (a letter of over MAX_DIGITS digits is not written at all)
     long = "x" * 5000
     other = make_group(2, {"a": (("1", "1"), ((1, 2),))}, name=long)
     cases = [
         (BadPerm, lambda: Perm((1,) * 3000)),
         (BadPerm, lambda: Perm.from_cycles(3000, [tuple(range(1, 3001)) + (1,)])),
-        (BadPerm, lambda: Perm.from_cycles(2, [(1, 10**700)])),
+        (BadPerm, lambda: Perm.from_cycles(2, [(1, 10**600)])),
         (UnknownState, lambda: grig.state(long)),
         (UnknownState, lambda: grig.element([(long, 1)])),
         (MixedGroups, lambda: grig.generator("a") * other.generator("a")),
@@ -113,6 +116,57 @@ def test_errors_clip_echoed_input(grig):
         with pytest.raises(error) as excinfo:
             call()
         assert len(str(excinfo.value)) < 200 and "…" in str(excinfo.value), str(excinfo.value)
+
+
+HUGE = 10**5000  # over the 4,300 digits Python turns into text
+
+
+# (call of the group and an int, an out-of-range int of at most MAX_DIGITS digits);
+# each call is made again with HUGE of the same sign
+OUT_OF_RANGE = {
+    "ball radius": (lambda g, n: certify.ball_sizes(GenSet.from_group(g), n), decide.BALL_CAP + 1),
+    "ball radius -": (lambda g, n: certify.ball_sizes(GenSet.from_group(g), n), -1),
+    "order": (lambda g, n: decide.order(g.generator("a"), n), decide.ORDER_BOUND_CAP + 1),
+    "portrait": (lambda g, n: decide.portrait(g.generator("a"), n), 13),
+    "portrait -": (lambda g, n: decide.portrait(g.generator("a"), n), -1),
+    "activity": (lambda g, n: decide.activity_sequence(g.generator("a"), n), decide.ACTIVITY_LEVELS_CAP + 1),
+    "activity -": (lambda g, n: decide.activity_sequence(g.generator("a"), n), -1),
+    "orbits": (lambda g, n: subgroups.orbits(GenSet.from_group(g), n), subgroups.ORBIT_DEPTH_CAP + 1),
+    "orbits -": (lambda g, n: subgroups.orbits(GenSet.from_group(g), n), -1),
+    "stab": (lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n), 24),
+    "stab -": (lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n), -1),
+    "freesemigroup": (lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n), 4 * MAX_DIGITS + 1),
+    "freesemigroup -": (lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n), -1),
+    "rist -": (lambda g, n: subgroups.rist_elements(GenSet.from_group(g), "1", n), -1),
+    "commutator slot": (lambda g, n: subgroups.commutator_witness(g.generator("b"), n, 1, g.generator("a")), 3),
+    "act": (lambda g, n: g.generator("a").act((3, n)), 5),
+    "alphabet": (lambda g, n: make_group(n, {"a": ((), None)}), VERTEX_CAP + 1),
+    "alphabet -": (lambda g, n: make_group(n, {"a": ((), None)}), -1),
+    "cycle letter": (lambda g, n: Perm.from_cycles(2, [(1, n)]), 3),
+    "exponent": (lambda g, n: g.element([("a", n)]), 2),
+}
+
+
+@pytest.mark.parametrize("call, small", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_huge_ints_raise_what_small_ones_do(grig, call, small):
+    # each ended in ValueError: Exceeds the limit (4300 digits) for integer string conversion
+    with pytest.raises(EngineError) as expected:
+        call(grig, small)
+    with pytest.raises(EngineError) as excinfo:
+        call(grig, HUGE if small > 0 else -HUGE)
+    message = str(excinfo.value)
+    assert type(excinfo.value) is type(expected.value), message
+    assert len(message) <= 200 and f"<over {MAX_DIGITS} digits>" in message, message
+
+
+def test_huge_ints_are_shown_by_sign_and_size(grig):
+    gens = GenSet.from_group(grig)
+    with pytest.raises(BadArgument) as excinfo:
+        certify.ball_sizes(gens, -HUGE)
+    assert str(excinfo.value) == "radius must be nonnegative, got -<over 640 digits>"
+    # an int of MAX_DIGITS digits is still written, clipped
+    assert core._shown(10**MAX_DIGITS - 1) == "9" * 59 + "…"
+    assert core._shown(10**MAX_DIGITS) == "<over 640 digits>"
 
 
 def test_element_reduction_and_ops(grig, bas):

@@ -747,17 +747,19 @@ print(json.dumps([sorted(imported), sorted(ran)]))
 
 def test_import_and_ball_load_no_heavy_modules():
     # every check runs as a new process, which pays for each module the import loads:
-    # dataclasses brings inspect, ast, dis and tokenize, and logging costs 4-6 ms cold
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_LOADED],
-        capture_output=True, encoding="utf-8", env=_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    *ball, last = proc.stdout.splitlines()
-    imported, ran = map(set, json.loads(last))
-    assert ball and "agroups.cli" in imported
-    assert not {"dataclasses", "inspect"} & imported, imported
-    assert "logging" not in ran, ran
+    # dataclasses brings inspect, ast, dis and tokenize, logging costs 4-6 ms cold and
+    # pathlib 4 ms; a site module may load pathlib first, so a child without one (-S) runs too
+    for flags in ((), ("-S",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _MODULES_LOADED],
+            capture_output=True, encoding="utf-8", env=_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *ball, last = proc.stdout.splitlines()
+        imported, ran = map(set, json.loads(last))
+        assert ball and "agroups.cli" in imported
+        assert not {"dataclasses", "inspect"} & imported, imported
+        assert not {"logging", "pathlib"} & ran, (flags, ran)
 
 
 @pytest.mark.parametrize("row", agt_requests.ROWS, ids=[row.id for row in agt_requests.ROWS])
