@@ -129,13 +129,13 @@ class CoordsIs(Assertion):
         want_perm = Perm.from_cycles(group.degree, self.cycles or ())
         if len(self.slots) != group.degree:
             return self._result(False, f"expected {group.degree} slots")
-        computed = f"computed ({', '.join(map(str, cs.slots))}) {cs.perm}"
-        if cs.perm != want_perm:
-            return self._result(False, computed)
-        for got, want_text in zip(cs.slots, self.slots):
-            if not decide.equals(got, parse_word(want_text, group)):
-                return self._result(False, computed)
-        return self._result(True)
+        passed = cs.perm == want_perm and all(
+            decide.equals(got, parse_word(want_text, group))
+            for got, want_text in zip(cs.slots, self.slots)
+        )
+        if passed:
+            return self._result(True)
+        return self._result(False, f"computed ({', '.join(map(str, cs.slots))}) {cs.perm}")
 
 
 class InLevelStab(Assertion):
@@ -340,30 +340,32 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     _count(maxlen, "maxlen", 1)
     total = _word_count(len(gens.elements), maxlen)
     table = decide._InternTable(gens.group)
-    letters = [table.intern(e) for e in gens.elements]
-    # id -> (length, position) of its first word: until the first collision the words of
-    # a length come in product() order, so the position's base-k digits spell the word
-    first: Dict[int, Tuple[int, int]] = {}
-    collision = None
-    level = [0]
-    for length in range(1, maxlen + 1):
-        if len(first) + len(level) * len(letters) > decide.BALL_CAP:
-            raise BoundExceeded(
-                f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
-            )
-        # one id per word until the first collision, so a position names a word;
-        # after it one per distinct id, as equal words have equal extensions
-        level = table.products(level, letters)
-        held = len(first)
-        for position, x in enumerate(level):
-            if x not in first:
-                first[x] = (length, position)
-            elif collision is None:
-                collision = (first[x], (length, position))
-        if len(first) == held:
-            break
-        level = list(dict.fromkeys(level))
-    table.log("free_semigroup_check")
+    try:
+        letters = [table.intern(e) for e in gens.elements]
+        # id -> (length, position) of its first word: until the first collision the words of
+        # a length come in product() order, so the position's base-k digits spell the word
+        first: Dict[int, Tuple[int, int]] = {}
+        collision = None
+        level = [0]
+        for length in range(1, maxlen + 1):
+            if len(first) + len(level) * len(letters) > decide.BALL_CAP:
+                raise BoundExceeded(
+                    f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
+                )
+            # one id per word until the first collision, so a position names a word;
+            # after it one per distinct id, as equal words have equal extensions
+            level = table.products(level, letters)
+            held = len(first)
+            for position, x in enumerate(level):
+                if x not in first:
+                    first[x] = (length, position)
+                elif collision is None:
+                    collision = (first[x], (length, position))
+            if len(first) == held:
+                break
+            level = list(dict.fromkeys(level))
+    finally:
+        table.log("free_semigroup_check")
     pair = None if collision is None else tuple(
         gens.group.element([x for i in _spell(length, position, len(letters))
                             for x in gens.elements[i].letters])
@@ -386,9 +388,11 @@ def ball_sizes(
     if not 1 <= max_elements <= decide.BALL_CAP:
         raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_shown(max_elements)}")
     table = decide._InternTable(gens.group)
-    letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
     sizes = [1]
-    for sphere in table.spheres(letters, radius, max_elements):
-        sizes.append(sizes[-1] + len(sphere))
-    table.log("ball_sizes")
+    try:
+        letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
+        for sphere in table.spheres(letters, radius, max_elements):
+            sizes.append(sizes[-1] + len(sphere))
+    finally:
+        table.log("ball_sizes")
     return tuple(sizes)

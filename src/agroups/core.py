@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from array import array
 from itertools import product
+from operator import itemgetter
 from collections.abc import Mapping  # typing.Mapping's isinstance check takes 3x as long
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -159,6 +160,14 @@ def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
     if cap is not None and n > cap:
         raise BoundExceeded(f"{what} {_shown(n)} exceeds cap {cap}")
     return n
+
+
+def _gather(values: Sequence, ranks: Sequence[int]) -> tuple:
+    """``tuple(values[r] for r in ranks)``, by one itemgetter call in C."""
+    if len(ranks) > 1:
+        return itemgetter(*ranks)(values)
+    # an itemgetter of one index returns the bare value, and one of none is an error
+    return (values[ranks[0]],) if ranks else ()
 
 
 def _level_over(degree: int, level: int, cap: int) -> bool:
@@ -432,9 +441,13 @@ class GroupDef:
 
         A letter's permutation of level n follows from its table entry and its
         sections' permutations of level n - 1, as rank(i w) = (i - 1) d^(n-1) +
-        rank(w).  Each is built on first use and kept for the call.  Level
-        `depth`, which has the most vertices and entries, is checked against
-        VERTEX_CAP and LEVEL_ENTRY_CAP before any level is built.
+        rank(w).  Each is built on first use and kept for the call.  A word's
+        letters compose right to left by gathers (:func:`_gather`), as tuples
+        until the last letter, so each longer word makes one array; the empty
+        word and a one-letter word return the shared array of the identity or
+        of their letter.  Level `depth`, which has the most vertices and
+        entries, is checked against VERTEX_CAP and LEVEL_ENTRY_CAP before any
+        level is built.
         """
         self._check_level(depth, words)
         perms = {}
@@ -469,10 +482,12 @@ class GroupDef:
             return out
 
         composed = []
-        for w in words:  # each word's letters compose right to left
+        for w in words:  # each word's letters compose right to left, as tuples until the last
             p = perm(w.letters[-1] if w.letters else None, n)
-            for x in w.letters[-2::-1]:
-                p = array("i", map(perm(x, n).__getitem__, p))
+            if len(w.letters) > 1:
+                for x in w.letters[-2::-1]:
+                    p = _gather(perm(x, n), p)
+                p = array("i", p)
             composed.append(p)
         return tuple(composed)
 

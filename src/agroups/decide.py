@@ -547,11 +547,13 @@ def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     _count(bound, "bound", 1, ORDER_BOUND_CAP)
     table = _InternTable(g.group)
-    x = table.intern(g)
-    power, n = x, 1
-    while power and n < bound:
-        power, n = table.mul(power, x), n + 1
-    table.log("order")
+    try:
+        x = table.intern(g)
+        power, n = x, 1
+        while power and n < bound:
+            power, n = table.mul(power, x), n + 1
+    finally:
+        table.log("order")
     return OrderResult(None if power else n, bound)
 
 

@@ -27,6 +27,7 @@ from .core import (
     _Record,
     _clip,
     _count,
+    _gather,
     _shown,
     format_vertex,
     make_group,
@@ -178,7 +179,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
                         assigned[w] = idx
                         members.append(w)
             members.sort()
-            blocks.append(tuple(map(verts.__getitem__, members)))
+            blocks.append(_gather(verts, members))
             parent.append(prev_assigned[seed // group.degree])  # the parent of rank r is r // d
         levels.append(OrbitLevel(n, tuple(blocks), tuple(parent)))
         prev_assigned = assigned
@@ -210,33 +211,37 @@ def _schreier(gens: GenSet, base: object, actions):
     A tree edge, where t_y = s t_x, gives the identity and is left out.  Returns
     the (x, t_x) pairs, the raw list and the table."""
     table = decide._InternTable(gens.group)
-    steps = [(s, act, table.intern(s), table.intern(s.inverse()))
-             for s, act in zip(gens.elements, actions)]
-    transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
-    order, frontier, raw = [], [base], []
-    while frontier:
-        discovered = []
-        for x in sorted(frontier):
-            order.append(x)
-            t_x, tid, tinv = transversal[x]
-            for s, act, sid, sinv in steps:
-                y, st = act(x), table.mul(sid, tid)
-                t_y = transversal.get(y)
-                if t_y is None:
-                    transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
-                    discovered.append(y)
-                    if len(transversal) * len(base) > VERTEX_CAP:
-                        raise BoundExceeded(f"transversal exceeded {VERTEX_CAP} vertex entries")
-                    # one raw generator per pair; the tests, golden calls and
-                    # benchmark reach 16,384 pairs
-                    if len(transversal) * len(steps) > decide.BALL_CAP:
-                        raise BoundExceeded(
-                            f"Schreier pass exceeded {decide.BALL_CAP} point-generator pairs"
-                        )
-                else:
-                    raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
-        frontier = discovered
-    table.log("schreier")
+    try:
+        steps = [(s, act, table.intern(s), table.intern(s.inverse()))
+                 for s, act in zip(gens.elements, actions)]
+        transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
+        order, frontier, raw = [], [base], []
+        while frontier:
+            discovered = []
+            for x in sorted(frontier):
+                order.append(x)
+                t_x, tid, tinv = transversal[x]
+                for s, act, sid, sinv in steps:
+                    y, st = act(x), table.mul(sid, tid)
+                    t_y = transversal.get(y)
+                    if t_y is None:
+                        transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
+                        discovered.append(y)
+                        if len(transversal) * len(base) > VERTEX_CAP:
+                            raise BoundExceeded(
+                                f"transversal exceeded {VERTEX_CAP} vertex entries"
+                            )
+                        # one raw generator per pair; the tests, golden calls and
+                        # benchmark reach 16,384 pairs
+                        if len(transversal) * len(steps) > decide.BALL_CAP:
+                            raise BoundExceeded(
+                                f"Schreier pass exceeded {decide.BALL_CAP} point-generator pairs"
+                            )
+                    else:
+                        raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
+            frontier = discovered
+    finally:
+        table.log("schreier")
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
 
@@ -261,10 +266,10 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     verts = tuple(gens.group.vertices(level))
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
     perms = gens.group.level_perm(gens.elements, level)
-    actions = [lambda c, image=perm.__getitem__: tuple(map(image, c)) for perm in perms]
+    actions = [lambda c, image=perm: _gather(image, c) for perm in perms]
     base = tuple(range(len(verts)))  # the identity configuration
     transversal, raw, _ = _schreier(gens, base, actions)
-    transversal = tuple((tuple(map(verts.__getitem__, c)), t) for c, t in transversal)
+    transversal = tuple((_gather(verts, c), t) for c, t in transversal)
     generators = tuple(_dedupe_gens(gens.group, raw).values())
     return StabilizerGens(gens, level, None, generators, transversal)
 
@@ -341,14 +346,16 @@ def rist_elements(
     vertex = group.vertex(vertex)
     letters = [x for e in gens.elements for x in (e, e.inverse())]
     table = decide._InternTable(group)
-    words, found = [group.identity()], []
-    for sphere in table.spheres([table.intern(x) for x in letters], maxlen):
-        if not sphere:
-            break
-        # the word of an element extends its parent's word by one letter
-        words = [words[parent] * letters[i] for _, parent, i in sphere]
-        found.extend(w for w in words if is_supported_only_at(w, vertex))
-    table.log("rist_elements")
+    try:
+        words, found = [group.identity()], []
+        for sphere in table.spheres([table.intern(x) for x in letters], maxlen):
+            if not sphere:
+                break
+            # the word of an element extends its parent's word by one letter
+            words = [words[parent] * letters[i] for _, parent, i in sphere]
+            found.extend(w for w in words if is_supported_only_at(w, vertex))
+    finally:
+        table.log("rist_elements")
     return found
 
 

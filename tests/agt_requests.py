@@ -127,6 +127,10 @@ ROWS = (
     Row("witness word", ("commutator-witness", *G, "--word", "a" + " b" * 499, "--slot", "1", "--inner", "2",
                          "--witness", "a")),
     Row("chain vertex", ("chain", *G, "--gens", "a", "--vertex", "1" + ".1" * 199, "--depth", "2")),
+    # the level action at full size: 4,096 configurations x 4 generators, the 16,384 pairs
+    # of a Schreier pass, and orbits at subgroups.ORBIT_DEPTH_CAP
+    _answer("stab level 4", ("stab", *G, "--level", "4"), seconds=5),
+    _answer("orbits depth 12", ("orbits", *G, "--depth", "12", "--json"), seconds=5),
     # levels, transversals and alphabets over core.VERTEX_CAP
     Row("stab level 24", ("stab", *G, "--level", "24"), err=E("level 24 has over 100000 vertices")),
     Row("project depth 22", ("project", *G, "--vertex", "1" + ".1" * 21),

@@ -66,9 +66,10 @@ def test_failing_assertions_report_details(grig):
         (CoordsIs("b", ("a",), None), "expected 2 slots"),
         (CoordsIs("b", ("a", "c"), ((1, 2),)), "computed (a, c) id"),
         (CoordsIs("a", ("1", "1"), None), "computed (1, 1) (1 2)"),
+        (CoordsIs("b", ("a", "d"), None), "computed (a, c) id"),
         (ProjectionWitness("1", "a", "b"), "a moves 1"),
     ],
-    ids=["slot count", "root permutation", "root swap", "moved vertex"],
+    ids=["slot count", "root permutation", "root swap", "slot word", "moved vertex"],
 )
 def test_failing_assertion_details(grig, assertion, detail):
     (result,) = run_suite(Certificate("bad", None, (assertion,)), grig).results
@@ -315,6 +316,14 @@ def test_product_loops_log_their_table(grig, caplog):
     jobs = [r.getMessage().split(":")[0] for r in caplog.records]
     assert jobs == ["ball_sizes", "free_semigroup_check", "order", "rist_elements", "schreier"]
     assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)
+
+
+def test_tripped_cap_still_logs_its_table(grig, caplog):
+    with caplog.at_level(logging.DEBUG, logger="agroups"), pytest.raises(BoundExceeded):
+        ball_sizes(GenSet.from_group(grig), 20, max_elements=100)
+    assert [(r.levelno, r.getMessage().split(":")[0]) for r in caplog.records] == [
+        (logging.DEBUG, "ball_sizes")
+    ]
 
 
 def test_ball_log_counts_walks(grig, caplog):

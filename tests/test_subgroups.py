@@ -1,3 +1,4 @@
+from array import array
 from random import Random
 
 import pytest
@@ -117,6 +118,43 @@ def test_level_action_matches_act_reference(grig, bas, odo, rot3, aleshin, rand4
         except NotVertexFixing as exc:
             want = str(exc)
         assert got == want
+
+
+def test_gather_edge_cases(grig, rot3):
+    # an itemgetter of one index returns a bare value and one of none is an error, so
+    # core._gather reads those cases itself; a level of one vertex (level 0, or any level
+    # of an alphabet-1 group) and a single-vertex orbit block reach them
+    rng = Random(59)
+    values = array("i", rng.sample(range(5000), 1000))
+    for k in (0, 1, 2, 1000):
+        ranks = array("i", (rng.randrange(len(values)) for _ in range(k)))
+        assert core._gather(values, ranks) == tuple(values[r] for r in ranks)
+        assert core._gather(tuple(values), list(ranks)) == tuple(values[r] for r in ranks)
+    line = make_group(1, [("x", ("y",), None), ("y", ("x",), None)], name="line")
+    for group, depth in ((grig, 0), (grig, 3), (rot3, 0), (rot3, 2), (line, 0), (line, 4)):
+        words = [group.identity(), parse_word(group.state_names[0], group)]
+        words.append(parse_word(" ".join(group.state_names * 2), group))
+        perms = list(group.level_perms(words, depth))
+        assert len(perms) == depth + 1
+        for n, level in enumerate(perms):
+            verts = list(group.vertices(n))
+            want = [[verts.index(g.act(v)) for v in verts] for g in words]
+            assert level == group.level_perm(words, n)
+            assert [p.typecode for p in level] == ["i"] * len(words)
+            assert [p.tolist() for p in level] == want
+        gens = GenSet.from_elements(words[1:])
+        for level in range(min(depth, 2) + 1):
+            st = stabilizer_gens(gens, level)
+            base = tuple(group.vertices(level))
+            transversal, raw = schreier_reference(gens, base, lambda s, c: tuple(map(s.act, c)))
+            assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
+            assert list(map(str, st.generators)) == list(map(str, dedupe_reference(group, raw)))
+    for gens, depth in ((GenSet.from_elements([grig.generator("b")]), 4),
+                        (GenSet.from_group(line), 4),
+                        (GenSet.from_elements([rot3.generator("u")]), 2)):
+        table = orbits(gens, depth)
+        assert table == orbits_reference(gens, depth)
+        assert any(len(block) == 1 for lv in table.levels[1:] for block in lv.blocks)
 
 
 def test_level_perms_match_level_perm(grig, bas, odo, rot3, aleshin, rand4):
