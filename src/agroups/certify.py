@@ -19,7 +19,7 @@ from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
 from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
-from .core import MAX_DIGITS, _Record, _count, _printable, _shown, format_cycles, format_vertex
+from .core import MAX_DIGITS, _Record, _count, _printable, _shown, _within, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
 
@@ -339,8 +339,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
     """
     _count(maxlen, "maxlen", 1)
     total = _word_count(len(gens.elements), maxlen)
-    table = decide._InternTable(gens.group)
-    try:
+    with decide._InternTable(gens.group, "free_semigroup_check") as table:
         letters = [table.intern(e) for e in gens.elements]
         # id -> (length, position) of its first word: until the first collision the words of
         # a length come in product() order, so the position's base-k digits spell the word
@@ -348,10 +347,8 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
         collision = None
         level = [0]
         for length in range(1, maxlen + 1):
-            if len(first) + len(level) * len(letters) > decide.BALL_CAP:
-                raise BoundExceeded(
-                    f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
-                )
+            _within(len(first) + len(level) * len(letters), decide.BALL_CAP,
+                    "free semigroup words", f"ids at length {length}")
             # one id per word until the first collision, so a position names a word;
             # after it one per distinct id, as equal words have equal extensions
             level = table.products(level, letters)
@@ -364,8 +361,6 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
             if len(first) == held:
                 break
             level = list(dict.fromkeys(level))
-    finally:
-        table.log("free_semigroup_check")
     pair = None if collision is None else tuple(
         gens.group.element([x for i in _spell(length, position, len(letters))
                             for x in gens.elements[i].letters])
@@ -387,12 +382,9 @@ def ball_sizes(
     _count(radius, "radius", 0, decide.BALL_CAP)  # no ball under the cap has more non-empty spheres
     if not 1 <= max_elements <= decide.BALL_CAP:
         raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_shown(max_elements)}")
-    table = decide._InternTable(gens.group)
     sizes = [1]
-    try:
+    with decide._InternTable(gens.group, "ball_sizes") as table:
         letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]
         for sphere in table.spheres(letters, radius, max_elements):
             sizes.append(sizes[-1] + len(sphere))
-    finally:
-        table.log("ball_sizes")
     return tuple(sizes)

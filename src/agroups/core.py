@@ -162,6 +162,14 @@ def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
     return n
 
 
+def _within(n: int, cap: int, what: str, unit: str) -> int:
+    """`n`, if it is at most `cap`; BoundExceeded, naming `what`, the cap and its `unit`, if not.
+    For work counted while it runs, so the message echoes the cap and not `n`."""
+    if n > cap:
+        raise BoundExceeded(f"{what} exceeded {cap} {unit}")
+    return n
+
+
 def _gather(values: Sequence, ranks: Sequence[int]) -> tuple:
     """``tuple(values[r] for r in ranks)``, by one itemgetter call in C."""
     if len(ranks) > 1:
@@ -198,7 +206,7 @@ class Perm:
 
     def __init__(self, image: Iterable[int]):
         image = tuple(image)
-        if sorted(image) != list(range(1, len(image) + 1)):
+        if not all(isinstance(x, int) for x in image) or sorted(image) != list(range(1, len(image) + 1)):
             raise BadPerm(f"not a bijection of 1..{len(image)}: {_shown(image)}")
         self.image = image
 
@@ -218,7 +226,7 @@ class Perm:
         for cycle in cycles:
             cycle = list(cycle)
             for x in cycle:
-                if not 1 <= x <= degree:
+                if not isinstance(x, int) or not 1 <= x <= degree:
                     raise BadPerm(f"letter {_shown(x)} outside 1..{degree}")
             if len(set(cycle)) != len(cycle):
                 raise BadPerm(f"repeated letter in cycle {_shown(tuple(cycle))}")
@@ -409,7 +417,7 @@ class GroupDef:
             v = _parse_vertex(v) if v.strip() else ()
         v = tuple(v)
         for letter in v:
-            if not 1 <= letter <= self.degree:
+            if not isinstance(letter, int) or not 1 <= letter <= self.degree:
                 raise BadVertex(
                     f"letter {_shown(letter)} outside 1..{self.degree}"
                     f" in vertex {_clip('.'.join(map(_shown, v)))}"

@@ -27,7 +27,9 @@ asked for.  This is the one thing kept across calls.
 The product loops (`order` here, `ball_sizes` and `free_semigroup_check` in
 :mod:`agroups.certify`), `rist_elements` and the Schreier generators of
 :mod:`agroups.subgroups` multiply ids of minimized automaton states, in a
-table built per call, as GAP's FR and AutomGrp do.  Words enter by their keys,
+table built per call, as GAP's FR and AutomGrp do; the caller holds it in a
+`with` block, and it logs its size and work as one debug record when the
+block ends, by a return or a raise.  Words enter by their keys,
 and a table maps each key it has seen to its id.  A letter's id is read from
 its letter closure, which a table absorbs once; a longer word is absorbed
 from its key's rows.
@@ -46,7 +48,7 @@ import sys
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import BoundExceeded, Element, MixedGroups, Perm, WreathCoords
-from .core import _count, _level_over, _printable, _shown
+from .core import _count, _level_over, _printable, _shown, _within
 
 __all__ = [
     "OrderResult",
@@ -74,11 +76,6 @@ LETTER_CAP = 1_000_000
 REFINE_CAP = 250_000
 
 
-def _closure_full(size: int) -> None:
-    if size > CLOSURE_CAP:
-        raise BoundExceeded(f"section closure exceeded {CLOSURE_CAP} nodes")
-
-
 class _Expansions(dict):
     """The expansions of one call: a word's letters -> its WreathCoords.
 
@@ -95,9 +92,8 @@ class _Expansions(dict):
     def __call__(self, g: Element) -> WreathCoords:
         cs = self.get(g.letters)
         if cs is None:
-            self.letters += len(g.letters)
-            if self.letters > LETTER_CAP:
-                raise BoundExceeded(f"section words of one call exceeded {LETTER_CAP} letters")
+            self.letters = _within(self.letters + len(g.letters), LETTER_CAP,
+                                   "section words of one call", "letters")
             cs = self[g.letters] = g.coords()
         return cs
 
@@ -118,7 +114,7 @@ def is_trivial(g: Element, expand: Optional[_Expansions] = None) -> bool:
             if s.letters and s.letters not in seen:
                 seen.add(s.letters)
                 queue.append(s)
-                _closure_full(len(seen))
+                _within(len(seen), CLOSURE_CAP, "section closure", "nodes")
     return True
 
 
@@ -155,7 +151,7 @@ def _syntactic_closure(g: Element):
                 j = len(nodes)
                 index[child.letters] = j
                 nodes.append(child)
-                _closure_full(len(nodes))
+                _within(len(nodes), CLOSURE_CAP, "section closure", "nodes")
             row.append(j)
         images.append(perm.image)
         edges.append(tuple(row))
@@ -321,9 +317,12 @@ class _InternTable:
     each section product is trivial or memoized; otherwise it walks the
     section pairs, and `_absorb` looks up each pair whose sections got ids.
     Only states on cycles go to `_cycles`, which refines them together with
-    the ids on cycles of the table.  `products` batches `mul` over many pairs."""
+    the ids on cycles of the table.  `products` batches `mul` over many pairs.
+    A table is a context manager: leaving its block, by a return or a raise,
+    logs its size and work under `job`."""
 
-    def __init__(self, group):
+    def __init__(self, group, job: str = "table"):
+        self.job = job
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
         self.images, self.kids = [row[0]], [row[1]]
         self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
@@ -443,12 +442,14 @@ class _InternTable:
                     if h not in ball:
                         ball.add(h)
                         sphere.append((h, pos, i))
-                        if len(ball) > cap:
-                            raise BoundExceeded(f"ball exceeded {cap} elements")
+                        _within(len(ball), cap, "ball", "elements")
             frontier = [h for h, _, _ in sphere]
             yield sphere
 
-    def log(self, job: str) -> None:
+    def __enter__(self) -> "_InternTable":
+        return self
+
+    def __exit__(self, *exc) -> None:
         # a process that never imported logging has set no handler or level that
         # would take the record, and loading it costs a cold process 4-6 ms
         if "logging" not in sys.modules:
@@ -457,7 +458,7 @@ class _InternTable:
 
         logging.getLogger("agroups").debug(
             "%s: %d states, %d memoized products, %d walks, %d slow paths",
-            job, len(self.images), len(self._products), self.walks, self.slow,
+            self.job, len(self.images), len(self._products), self.walks, self.slow,
         )
 
     def _absorb(self, images, refs) -> List[int]:
@@ -510,9 +511,8 @@ class _InternTable:
                     at[c] = len(nodes)
                     nodes.append(c)
             edges.append(tuple(at[c] for c in out))
-        self.refined += len(nodes)
-        if self.refined > REFINE_CAP:
-            raise BoundExceeded(f"intern table refinement exceeded {REFINE_CAP} nodes")
+        self.refined = _within(self.refined + len(nodes), REFINE_CAP,
+                               "intern table refinement", "nodes")
         cls = _refine(node_images, edges)
         m = len(left)  # nodes[:m] are the new states
         found = {c: ~r for r, c in zip(nodes[m:], cls[m:])}
@@ -546,14 +546,11 @@ class OrderResult(NamedTuple):
 def order(g: Element, bound: int = 64) -> OrderResult:
     """Smallest n <= bound with g^n trivial, by iterated multiplication of ids."""
     _count(bound, "bound", 1, ORDER_BOUND_CAP)
-    table = _InternTable(g.group)
-    try:
+    with _InternTable(g.group, "order") as table:
         x = table.intern(g)
         power, n = x, 1
         while power and n < bound:
             power, n = table.mul(power, x), n + 1
-    finally:
-        table.log("order")
     return OrderResult(None if power else n, bound)
 
 

@@ -17,7 +17,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 from . import decide
 from .core import (
     BadArgument,
-    BoundExceeded,
     Element,
     EngineError,
     GroupDef,
@@ -29,6 +28,7 @@ from .core import (
     _count,
     _gather,
     _shown,
+    _within,
     format_vertex,
     make_group,
 )
@@ -210,8 +210,7 @@ def _schreier(gens: GenSet, base: object, actions):
     s as ``(id, t_y, s, t_x)``; `actions` holds each generator's action on points.
     A tree edge, where t_y = s t_x, gives the identity and is left out.  Returns
     the (x, t_x) pairs, the raw list and the table."""
-    table = decide._InternTable(gens.group)
-    try:
+    with decide._InternTable(gens.group, "schreier") as table:
         steps = [(s, act, table.intern(s), table.intern(s.inverse()))
                  for s, act in zip(gens.elements, actions)]
         transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
@@ -227,21 +226,15 @@ def _schreier(gens: GenSet, base: object, actions):
                     if t_y is None:
                         transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
                         discovered.append(y)
-                        if len(transversal) * len(base) > VERTEX_CAP:
-                            raise BoundExceeded(
-                                f"transversal exceeded {VERTEX_CAP} vertex entries"
-                            )
+                        _within(len(transversal) * len(base), VERTEX_CAP,
+                                "transversal", "vertex entries")
                         # one raw generator per pair; the tests, golden calls and
                         # benchmark reach 16,384 pairs
-                        if len(transversal) * len(steps) > decide.BALL_CAP:
-                            raise BoundExceeded(
-                                f"Schreier pass exceeded {decide.BALL_CAP} point-generator pairs"
-                            )
+                        _within(len(transversal) * len(steps), decide.BALL_CAP,
+                                "Schreier pass", "point-generator pairs")
                     else:
                         raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
             frontier = discovered
-    finally:
-        table.log("schreier")
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
 
@@ -345,8 +338,7 @@ def rist_elements(
     group = gens.group
     vertex = group.vertex(vertex)
     letters = [x for e in gens.elements for x in (e, e.inverse())]
-    table = decide._InternTable(group)
-    try:
+    with decide._InternTable(group, "rist_elements") as table:
         words, found = [group.identity()], []
         for sphere in table.spheres([table.intern(x) for x in letters], maxlen):
             if not sphere:
@@ -354,8 +346,6 @@ def rist_elements(
             # the word of an element extends its parent's word by one letter
             words = [words[parent] * letters[i] for _, parent, i in sphere]
             found.extend(w for w in words if is_supported_only_at(w, vertex))
-    finally:
-        table.log("rist_elements")
     return found
 
 

@@ -10,8 +10,8 @@ whole word.  `is_trivial_reference`, `section_closure_reference`,
 `portrait_reference` and `activity_sequence_reference` are the consumers
 of `Element.coords` in `agroups.decide` as they were before each distinct
 section word was expanded once per call: they call `coords` once per
-visit, and they share only `_closure_full`, `_refine` and
-`_canonical_order` with the package.  So does `canonical_key_reference`,
+visit, and they share only `_refine` and `_canonical_order` with the
+package, and `core._within` for the CLOSURE_CAP check.  So does `canonical_key_reference`,
 the key of a word's own closure, which a letter's key kept on its group
 must equal.  `rist_reference`
 is an exception too: the word-enumerating witness search that
@@ -53,7 +53,7 @@ from agroups import certify, decide
 from agroups.cli import _quote
 from agroups.core import MAX_DIGITS, BadArgument, BoundExceeded, Element, EngineError, GroupDef
 from agroups.core import Letter, Perm, UnknownGenerator, Vertex, WreathCoords, _clip, _shown
-from agroups.core import _NAME, _NAME_RE, _is_number, format_vertex, make_group
+from agroups.core import _NAME, _NAME_RE, _is_number, _within, format_vertex, make_group
 from agroups.subgroups import ORBIT_DEPTH_CAP, GenSet, NotVertexFixing, OrbitChainReport, OrbitLevel
 from agroups.subgroups import OrbitTable, fixes_level
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, word_letters
@@ -114,7 +114,7 @@ def is_trivial_reference(g: Element) -> bool:
             if s.letters and s.letters not in seen:
                 seen.add(s.letters)
                 queue.append(s)
-                decide._closure_full(len(seen))
+                _within(len(seen), decide.CLOSURE_CAP, "section closure", "nodes")
     return True
 
 
@@ -135,7 +135,7 @@ def _syntactic_closure_reference(g: Element):
                 j = len(nodes)
                 index[child.letters] = j
                 nodes.append(child)
-                decide._closure_full(len(nodes))
+                _within(len(nodes), decide.CLOSURE_CAP, "section closure", "nodes")
             row.append(j)
         images.append(cs.perm.image)
         edges.append(tuple(row))
@@ -892,28 +892,27 @@ def free_semigroup_reference(gens: GenSet, maxlen: int) -> certify.FreeSemigroup
     """
     if maxlen < 1:
         raise BadArgument(f"maxlen must be at least 1, got {_clip(str(maxlen))}")
-    table = decide._InternTable(gens.group)
-    letters = [table.intern(e) for e in gens.elements]
-    first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
-    collision = None
-    level, total = [0], 0
-    for length in range(1, maxlen + 1):
-        if len(first) + len(level) * len(letters) > decide.BALL_CAP:
-            raise BoundExceeded(
-                f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
-            )
-        # one id per word in product() order until the first collision; after
-        # it one per distinct id, as equal words have equal extensions
-        level = table.products(level, letters)
-        words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
-        for idxs, x in zip(words, level):
-            if x not in first:
-                first[x] = idxs
-            elif collision is None:
-                collision = (first[x], idxs)
-        level = list(dict.fromkeys(level))
-        total += len(letters) ** length
-    table.log("free_semigroup_check")
+    with decide._InternTable(gens.group, "free_semigroup_check") as table:
+        letters = [table.intern(e) for e in gens.elements]
+        first: Dict[int, Optional[Tuple[int, ...]]] = {}  # id -> generator indices of its first word
+        collision = None
+        level, total = [0], 0
+        for length in range(1, maxlen + 1):
+            if len(first) + len(level) * len(letters) > decide.BALL_CAP:
+                raise BoundExceeded(
+                    f"free semigroup words exceeded {decide.BALL_CAP} ids at length {length}"
+                )
+            # one id per word in product() order until the first collision; after
+            # it one per distinct id, as equal words have equal extensions
+            level = table.products(level, letters)
+            words = product(range(len(letters)), repeat=length) if collision is None else repeat(None)
+            for idxs, x in zip(words, level):
+                if x not in first:
+                    first[x] = idxs
+                elif collision is None:
+                    collision = (first[x], idxs)
+            level = list(dict.fromkeys(level))
+            total += len(letters) ** length
     pair = None if collision is None else tuple(
         gens.group.element([x for i in idxs for x in gens.elements[i].letters]) for idxs in collision
     )

@@ -318,11 +318,23 @@ def test_product_loops_log_their_table(grig, caplog):
     assert all("states" in r.getMessage() and "slow paths" in r.getMessage() for r in caplog.records)
 
 
-def test_tripped_cap_still_logs_its_table(grig, caplog):
+def _schreier_trip(gens, monkeypatch):
+    monkeypatch.setattr(decide, "BALL_CAP", 32)  # as in test_schreier_pairs_are_bounded
+    stabilizer_gens(GenSet.from_elements(gens.elements * 2), 2)
+
+
+TRIPS = {
+    "ball_sizes": lambda gens, monkeypatch: ball_sizes(gens, 20, max_elements=100),
+    "schreier": _schreier_trip,
+}
+
+
+@pytest.mark.parametrize("job, trip", TRIPS.items(), ids=TRIPS)
+def test_tripped_cap_still_logs_its_table(grig, caplog, monkeypatch, job, trip):
     with caplog.at_level(logging.DEBUG, logger="agroups"), pytest.raises(BoundExceeded):
-        ball_sizes(GenSet.from_group(grig), 20, max_elements=100)
+        trip(GenSet.from_group(grig), monkeypatch)
     assert [(r.levelno, r.getMessage().split(":")[0]) for r in caplog.records] == [
-        (logging.DEBUG, "ball_sizes")
+        (logging.DEBUG, job)
     ]
 
 

@@ -47,6 +47,15 @@ def test_perm_rejects_non_bijections():
         Perm.from_cycles(2, [(1, 3)])
     with pytest.raises(BadPerm):
         Perm.from_cycles(2, [(1, 1)])
+    # letters that are not ints are refused where the range is checked, not in a later TypeError
+    for image in ([2.0, 1.0], ["1"], ["2", 1]):
+        with pytest.raises(BadPerm):
+            Perm(image)
+    for cycle in ((1, 2.0), (1, "2")):
+        with pytest.raises(BadPerm):
+            Perm.from_cycles(2, [cycle])
+        with pytest.raises(BadPerm):
+            make_group(2, {"a": ((), [cycle])})
     # products are built unchecked, so mismatched degrees are refused up front
     with pytest.raises(BadPerm):
         Perm((2, 1)) * Perm.identity(3)
@@ -169,6 +178,17 @@ def test_huge_ints_are_shown_by_sign_and_size(grig):
     assert core._shown(10**MAX_DIGITS) == "<over 640 digits>"
 
 
+def test_within_echoes_the_cap_only():
+    assert core._within(7, 7, "ball", "elements") == 7
+    with pytest.raises(BoundExceeded) as excinfo:
+        core._within(8, 7, "ball", "elements")
+    assert str(excinfo.value) == "ball exceeded 7 elements"
+    # a run-time count is not echoed, so one of 5,000 digits raises no ValueError
+    with pytest.raises(BoundExceeded) as excinfo:
+        core._within(HUGE, 7, "ball", "elements")
+    assert str(excinfo.value) == "ball exceeded 7 elements"
+
+
 def test_element_reduction_and_ops(grig, bas):
     a, b = grig.generator("a"), grig.generator("b")
     assert (b * b.inverse()).letters == ()
@@ -282,6 +302,13 @@ def test_vertex_parsing(grig):
     assert grig.vertex(".") == ()
     assert grig.vertex("2.1.1") == (2, 1, 1)
     assert grig.vertex((1, 2)) == (1, 2)
+    # letters that are not ints are refused with the range check, before any action
+    a = grig.generator("a")
+    for v in ((1.0,), ("1",), (1, 2.0)):
+        with pytest.raises(BadVertex, match="^letter .* outside 1..2 in vertex "):
+            grig.vertex(v)
+        with pytest.raises(BadVertex):
+            a.act(v)
     assert list(grig.vertices(2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
