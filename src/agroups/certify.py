@@ -18,7 +18,7 @@ from string import Formatter
 from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BadArgument, BoundExceeded, Element, EngineError, GroupDef, Perm
+from .core import BoundExceeded, Element, EngineError, GroupDef, Perm
 from .core import MAX_DIGITS, _Record, _count, _printable, _shown, _within, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
@@ -231,14 +231,9 @@ class Certificate(NamedTuple):
 
 
 class Report(_Record):
-    """The results of one suite, filled in by `run_suite`."""
+    """The results of one suite, in the order of its assertions, and its run time in seconds."""
 
     __slots__ = _fields = ("suite", "group", "results", "runtime")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None  # mutable
-
-    def __init__(self, suite: str, group: str, results=None, runtime: float = 0.0):
-        super().__init__(suite, group, [] if results is None else results, runtime)
 
     @property
     def passed(self) -> bool:
@@ -288,12 +283,9 @@ def run_suite(cert: Certificate, group: GroupDef) -> Report:
             f"certificate {_shown(cert.name)} is for group {_shown(cert.group_name)},"
             f" got {_shown(group.name)}"
         )
-    report = Report(cert.name, group.name)
     start = time.monotonic()
-    for assertion in cert.assertions:
-        report.results.append(assertion.evaluate(group))
-    report.runtime = time.monotonic() - start
-    return report
+    results = tuple([assertion.evaluate(group) for assertion in cert.assertions])
+    return Report(cert.name, group.name, results, time.monotonic() - start)
 
 
 # -- growth experiments --------------------------------------------------------
@@ -380,8 +372,7 @@ def ball_sizes(
     which may lower `decide.BALL_CAP` but not raise it.
     """
     _count(radius, "radius", 0, decide.BALL_CAP)  # no ball under the cap has more non-empty spheres
-    if not 1 <= max_elements <= decide.BALL_CAP:
-        raise BadArgument(f"cap must be in 1..{decide.BALL_CAP}, got {_shown(max_elements)}")
+    _count(max_elements, "cap", 1, decide.BALL_CAP)
     sizes = [1]
     with decide._InternTable(gens.group, "ball_sizes") as table:
         letters = [table.intern(x) for e in gens.elements for x in (e, e.inverse())]

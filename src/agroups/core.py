@@ -99,7 +99,7 @@ class BoundExceeded(EngineError):
 
 
 class BadArgument(EngineError, ValueError):
-    """A number outside the range an operation accepts."""
+    """A number that is not an int, or lies outside the range an operation accepts."""
 
 
 Vertex = Tuple[int, ...]
@@ -153,7 +153,11 @@ def _shown(value: object) -> str:
 
 
 def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
-    """`n`, if it lies in low..cap; BadArgument below `low`, BoundExceeded above `cap`."""
+    """`n`, if it is an int in low..cap: the one check of a count, level, degree or cap
+    that a caller passes.  BadArgument if it is not an int, is a bool or lies below
+    `low`; BoundExceeded above `cap`."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise BadArgument(f"{what} must be an integer, got {_shown(n)}")
     if n < low:
         least = "nonnegative" if low == 0 else f"at least {low}"
         raise BadArgument(f"{what} must be {least}, got {_shown(n)}")
@@ -218,11 +222,11 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls._make(tuple(range(1, degree + 1)))
+        return cls._make(tuple(range(1, _count(degree, "degree", 0, VERTEX_CAP) + 1)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
-        image = list(range(1, degree + 1))
+        image = list(range(1, _count(degree, "degree", 0, VERTEX_CAP) + 1))
         for cycle in cycles:
             cycle = list(cycle)
             for x in cycle:
@@ -425,8 +429,10 @@ class GroupDef:
         return v
 
     def _check_level(self, level: int, words: Sequence["Element"] = ()) -> None:
-        """BoundExceeded if level `level` has over VERTEX_CAP vertices, or if the
-        permutations of `words` on it hold over LEVEL_ENTRY_CAP entries."""
+        """BadArgument if `level` is not a nonnegative int; BoundExceeded if level `level`
+        has over VERTEX_CAP vertices, or if the permutations of `words` on it hold over
+        LEVEL_ENTRY_CAP entries."""
+        _count(level, "level", 0)
         if _level_over(self.degree, level, VERTEX_CAP):
             raise BoundExceeded(f"level {_shown(level)} has over {VERTEX_CAP} vertices")
         if len(words) * self.degree ** level > LEVEL_ENTRY_CAP:
@@ -464,12 +470,13 @@ class GroupDef:
 
     def level_perm(self, words: Sequence["Element"], level: int) -> Tuple[array, ...]:
         """Each word's permutation of level `level` alone (see :meth:`level_perms`)."""
+        self._check_level(level, words)
         return self._level(words, level, {})
 
     def _level(self, words: Sequence["Element"], n: int, perms: dict) -> Tuple[array, ...]:
         """Each word's permutation of level n.  ``perms[x, m]`` memoizes letter x's
-        permutation of level m; x = None is the identity, whose slices are identity blocks."""
-        self._check_level(n, words)
+        permutation of level m; x = None is the identity, whose slices are identity blocks.
+        The caller has checked level n."""
         d, table = self.degree, self._table
 
         def perm(x: Optional[Letter], m: int) -> array:
@@ -547,8 +554,7 @@ def make_group(
     iterable of ``(name, slots, perm)`` triples is also accepted (and is
     the only form that can detect duplicate names).
     """
-    if alphabet_size < 1:
-        raise EngineError(f"alphabet size must be at least 1, got {_shown(alphabet_size)}")
+    _count(alphabet_size, "alphabet size", 1)
     if isinstance(states, Mapping):
         rows = [(n, slots, perm) for n, (slots, perm) in states.items()]
     else:

@@ -97,11 +97,9 @@ class GenSet(_Record):
         cls, elements: Sequence[Element], names: Optional[Sequence[str]] = None
     ) -> "GenSet":
         elements = tuple(elements)
-        if not elements:
-            raise EngineError("generating set must be nonempty")
         if names is None:
             names = tuple(str(e) for e in elements)
-        return cls(elements[0].group, tuple(names), elements)
+        return cls(elements[0].group if elements else None, tuple(names), elements)
 
     def items(self) -> Iterable[Tuple[str, Element]]:
         return zip(self.names, self.elements)
@@ -255,7 +253,6 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     configuration under left composition, so Schreier's lemma applies to
     the finite orbit of configurations.
     """
-    _count(level, "level", 0)
     verts = tuple(gens.group.vertices(level))
     # a configuration holds ranks, which sort like the vertices; each generator permutes them
     perms = gens.group.level_perm(gens.elements, level)
@@ -416,6 +413,7 @@ def embedded_group(group: GroupDef, vertex: Union[str, Vertex]) -> GroupDef:
     vertex = group.vertex(vertex)
     if not vertex:
         return group
+    group._check_level(len(vertex))  # each added name spells a suffix of v: depth^2 letters
     d = group.degree
     rows = [(n, group.state(n).slots, group.state(n).perm) for n in group.state_names]
     for k in range(len(vertex) - 1, -1, -1):
@@ -468,7 +466,7 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
     d = group.degree
     if w.group != group:
         raise MixedGroups("witness element must live in the same group as g")
-    if not (1 <= k <= d and 1 <= m <= d):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= d for x in (k, m)):
         raise BadArgument(f"slot indices must lie in 1..{d}, got k={_shown(k)}, m={_shown(m)}")
     cs = g.coords()
     if not cs.perm.is_identity():

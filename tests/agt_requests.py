@@ -110,7 +110,7 @@ ROWS = (
     _answer("rist maxlen 600 digits", ("rist", *G, "--gens", "a", "--vertex", "2", "--maxlen", "9" * 600),
             "0 witness(es)\n", seconds=1),
     Row("ball cap", ("ball", *B, "--radius", "3", "--cap", "100000000"),
-        err=E("cap must be in 1..500000, got 100000000")),
+        err=E("cap 100000000 exceeds cap 500000")),
     Row("group directory", ("eval", "--group", ".", "--word", "a"), err=E("cannot read '.': Is a directory")),
     Row("group path missing", ("eval", "--group", "missing/grigorchuk.agt", "--word", "a"),
         err=E("group file 'missing/grigorchuk.agt' not found (and not a bundled group)")),

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from agroups import certify, core, decide, subgroups
+from agroups import certify, core, corpus, decide, subgroups
 from agroups.core import (
     CELL_CAP,
     MAX_DIGITS,
@@ -81,7 +81,7 @@ def test_make_group_validates(grig):
     "call, error, message",
     [
         (lambda g: g.generator("z"), UnknownGenerator, "no generator named 'z' in group 'grigorchuk'"),
-        (lambda g: make_group(0, {"a": ((), None)}), EngineError, "alphabet size must be at least 1, got 0"),
+        (lambda g: make_group(0, {"a": ((), None)}), BadArgument, "alphabet size must be at least 1, got 0"),
         (lambda g: make_group(2, {"1a": (("1", "1"), None)}), BadStateName, "invalid state name '1a'"),
         (lambda g: make_group(2, {"a": (("1", "1"), Perm((2, 3, 1)))}), BadPerm,
          "state 'a': permutation degree 3 != 2"),
@@ -109,7 +109,8 @@ def test_cell_cap_admits_a_table_at_the_cap():
 
 def test_errors_clip_echoed_input(grig):
     # each echoed its input whole: a 3,000-letter image or cycle, a 601-digit letter or a
-    # 5,000-character name (a letter of over MAX_DIGITS digits is not written at all)
+    # 5,000-character name, of a state, a group or a bundled file (a letter of over
+    # MAX_DIGITS digits is not written at all)
     long = "x" * 5000
     other = make_group(2, {"a": (("1", "1"), ((1, 2),))}, name=long)
     cases = [
@@ -120,6 +121,9 @@ def test_errors_clip_echoed_input(grig):
         (UnknownState, lambda: grig.element([(long, 1)])),
         (MixedGroups, lambda: grig.generator("a") * other.generator("a")),
         (MixedGroups, lambda: decide.equals(grig.generator("a"), other.generator("a"))),
+        (EngineError, lambda: corpus.load_group(long)),
+        (EngineError, lambda: corpus.load_certificate(long)),
+        (EngineError, lambda: corpus.corpus_text(long)),
     ]
     for error, call in cases:
         with pytest.raises(error) as excinfo:
@@ -130,29 +134,45 @@ def test_errors_clip_echoed_input(grig):
 HUGE = 10**5000  # over the 4,300 digits Python turns into text
 
 
+# calls of the group and a count n, level, degree or cap, which core._count checks
+COUNTS = {
+    "ball radius": lambda g, n: certify.ball_sizes(GenSet.from_group(g), n),
+    "ball cap": lambda g, n: certify.ball_sizes(GenSet.from_group(g), 3, n),
+    "order": lambda g, n: decide.order(g.generator("a"), n),
+    "portrait": lambda g, n: decide.portrait(g.generator("a"), n),
+    "activity": lambda g, n: decide.activity_sequence(g.generator("a"), n),
+    "orbits": lambda g, n: subgroups.orbits(GenSet.from_group(g), n),
+    "stab": lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n),
+    "freesemigroup": lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n),
+    "rist": lambda g, n: subgroups.rist_elements(GenSet.from_group(g), "1", n),
+    "vertices": lambda g, n: list(g.vertices(n)),
+    "level perm": lambda g, n: g.level_perm([g.generator("a")], n),
+    "level perms": lambda g, n: list(g.level_perms([g.generator("a")], n)),
+    "moved vertex": lambda g, n: subgroups.moved_vertex(g.generator("a"), n),
+    "fixes level": lambda g, n: subgroups.fixes_level(g.generator("a"), n),
+    "identity": lambda g, n: Perm.identity(n),
+    "cycles": lambda g, n: Perm.from_cycles(n, []),
+    "alphabet": lambda g, n: make_group(n, {"a": ((), None)}),
+}
+
+
 # (call of the group and an int, an out-of-range int of at most MAX_DIGITS digits);
 # each call is made again with HUGE of the same sign
 OUT_OF_RANGE = {
-    "ball radius": (lambda g, n: certify.ball_sizes(GenSet.from_group(g), n), decide.BALL_CAP + 1),
-    "ball radius -": (lambda g, n: certify.ball_sizes(GenSet.from_group(g), n), -1),
-    "order": (lambda g, n: decide.order(g.generator("a"), n), decide.ORDER_BOUND_CAP + 1),
-    "portrait": (lambda g, n: decide.portrait(g.generator("a"), n), 13),
-    "portrait -": (lambda g, n: decide.portrait(g.generator("a"), n), -1),
-    "activity": (lambda g, n: decide.activity_sequence(g.generator("a"), n), decide.ACTIVITY_LEVELS_CAP + 1),
-    "activity -": (lambda g, n: decide.activity_sequence(g.generator("a"), n), -1),
-    "orbits": (lambda g, n: subgroups.orbits(GenSet.from_group(g), n), subgroups.ORBIT_DEPTH_CAP + 1),
-    "orbits -": (lambda g, n: subgroups.orbits(GenSet.from_group(g), n), -1),
-    "stab": (lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n), 24),
-    "stab -": (lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n), -1),
-    "freesemigroup": (lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n), 4 * MAX_DIGITS + 1),
-    "freesemigroup -": (lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n), -1),
-    "rist -": (lambda g, n: subgroups.rist_elements(GenSet.from_group(g), "1", n), -1),
+    **{name: (COUNTS[name], n) for name, n in (
+        ("ball radius", decide.BALL_CAP + 1), ("ball cap", decide.BALL_CAP + 1),
+        ("order", decide.ORDER_BOUND_CAP + 1), ("portrait", 13),
+        ("activity", decide.ACTIVITY_LEVELS_CAP + 1), ("orbits", subgroups.ORBIT_DEPTH_CAP + 1),
+        ("stab", 24), ("freesemigroup", 4 * MAX_DIGITS + 1), ("alphabet", VERTEX_CAP + 1))},
+    **{f"{name} -": (COUNTS[name], -1) for name in (
+        "ball radius", "ball cap", "portrait", "activity", "orbits", "stab", "freesemigroup", "rist",
+        "alphabet")},
     "commutator slot": (lambda g, n: subgroups.commutator_witness(g.generator("b"), n, 1, g.generator("a")), 3),
     "act": (lambda g, n: g.generator("a").act((3, n)), 5),
-    "alphabet": (lambda g, n: make_group(n, {"a": ((), None)}), VERTEX_CAP + 1),
-    "alphabet -": (lambda g, n: make_group(n, {"a": ((), None)}), -1),
     "cycle letter": (lambda g, n: Perm.from_cycles(2, [(1, n)]), 3),
     "exponent": (lambda g, n: g.element([("a", n)]), 2),
+    "bundled group": (lambda g, n: corpus.load_group(n), 2),
+    "bundled suite": (lambda g, n: corpus.load_certificate(n), 2),
 }
 
 
@@ -166,6 +186,36 @@ def test_huge_ints_raise_what_small_ones_do(grig, call, small):
     message = str(excinfo.value)
     assert type(excinfo.value) is type(expected.value), message
     assert len(message) <= 200 and f"<over {MAX_DIGITS} digits>" in message, message
+
+
+LEVEL_ACTION = ("vertices", "level perm", "level perms", "moved vertex", "fixes level")
+# (call, argument, error, message pattern); before every argument's type was checked,
+# each call ended in a TypeError, a ValueError, a MemoryError or a wrong answer
+NOT_ACCEPTED = {
+    **{f"{name} {n!r}": (call, n, BadArgument, f"^[a-z ]+ must be an integer, got {n!r}$")
+       for name, call in COUNTS.items() for n in (1.0, True)},
+    **{f"{name} -1": (COUNTS[name], -1, BadArgument, "^level must be nonnegative, got -1$")
+       for name in LEVEL_ACTION},
+    **{f"{name} {shown}": (COUNTS[name], n, error, f"^degree {message}")
+       for name in ("identity", "cycles")
+       for shown, n, error, message in (
+           ("cap", VERTEX_CAP + 1, BoundExceeded, f"{VERTEX_CAP + 1} exceeds cap {VERTEX_CAP}$"),
+           ("huge", HUGE, BoundExceeded, f"<over {MAX_DIGITS} digits> exceeds cap {VERTEX_CAP}$"),
+           ("-1", -1, BadArgument, "must be nonnegative, got -1$"),
+           ("2.5", 2.5, BadArgument, "must be an integer, got 2.5$"))},
+    "ball cap 10.5": (COUNTS["ball cap"], 10.5, BadArgument, "^cap must be an integer, got 10.5$"),
+    **{f"commutator slot {n!r}": (OUT_OF_RANGE["commutator slot"][0], n, BadArgument,
+                                  rf"^slot indices must lie in 1\.\.2, got k={n!r}, m=1$")
+       for n in (2.0, True)},
+}
+
+
+@pytest.mark.parametrize("call, n, error, message", NOT_ACCEPTED.values(), ids=NOT_ACCEPTED)
+def test_arguments_are_checked_for_type_and_range(grig, call, n, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error, match=message) as excinfo:
+        call(grig, n)
+    assert type(excinfo.value) is error and time.perf_counter() - start < 0.1
 
 
 def test_huge_ints_are_shown_by_sign_and_size(grig):

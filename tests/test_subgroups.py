@@ -1,3 +1,4 @@
+import time
 from array import array
 from random import Random
 
@@ -485,6 +486,18 @@ def test_embedded_group(bas):
     assert decide.equals(e.section("2.1"), egroup.element(w.letters))
     assert decide.is_trivial(e.section("1"))
     assert is_supported_only_at(e, "2.1")
+
+
+def test_embedded_group_is_bounded_by_depth(grig):
+    # each added name spells a suffix of the vertex, so the presentation grows with the square
+    # of the depth; a vertex on a level of over VERTEX_CAP vertices is refused before any row
+    a = grig.generator("a")
+    assert len(embedded_group(grig, (2,) * 16).state_names) == 4 + 4 * 16
+    for vertex in ((2,) * 17, (2,) * 20_000):
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match=f"^level {len(vertex)} has over {VERTEX_CAP} vertices$"):
+            embed_element(a, vertex)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_commutator_witness_basilica(bas):
