@@ -152,11 +152,16 @@ def _shown(value: object) -> str:
     return _clip(repr(value))
 
 
+def _is_int(x: object) -> bool:
+    """Whether `x` is an int and not a bool: the one kind of value a count or a letter is."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
     """`n`, if it is an int in low..cap: the one check of a count, level, degree or cap
     that a caller passes.  BadArgument if it is not an int, is a bool or lies below
     `low`; BoundExceeded above `cap`."""
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise BadArgument(f"{what} must be an integer, got {_shown(n)}")
     if n < low:
         least = "nonnegative" if low == 0 else f"at least {low}"
@@ -210,7 +215,7 @@ class Perm:
 
     def __init__(self, image: Iterable[int]):
         image = tuple(image)
-        if not all(isinstance(x, int) for x in image) or sorted(image) != list(range(1, len(image) + 1)):
+        if not all(map(_is_int, image)) or sorted(image) != list(range(1, len(image) + 1)):
             raise BadPerm(f"not a bijection of 1..{len(image)}: {_shown(image)}")
         self.image = image
 
@@ -230,7 +235,7 @@ class Perm:
         for cycle in cycles:
             cycle = list(cycle)
             for x in cycle:
-                if not isinstance(x, int) or not 1 <= x <= degree:
+                if not _is_int(x) or not 1 <= x <= degree:
                     raise BadPerm(f"letter {_shown(x)} outside 1..{degree}")
             if len(set(cycle)) != len(cycle):
                 raise BadPerm(f"repeated letter in cycle {_shown(tuple(cycle))}")
@@ -421,7 +426,7 @@ class GroupDef:
             v = _parse_vertex(v) if v.strip() else ()
         v = tuple(v)
         for letter in v:
-            if not isinstance(letter, int) or not 1 <= letter <= self.degree:
+            if not _is_int(letter) or not 1 <= letter <= self.degree:
                 raise BadVertex(
                     f"letter {_shown(letter)} outside 1..{self.degree}"
                     f" in vertex {_clip('.'.join(map(_shown, v)))}"
@@ -442,9 +447,9 @@ class GroupDef:
             )
 
     def vertices(self, level: int) -> Iterator[Vertex]:
-        """All level-`level` vertices in lexicographic order."""
+        """All level-`level` vertices in lexicographic order; the level is checked at the call."""
         self._check_level(level)
-        yield from product(range(1, self.degree + 1), repeat=level)
+        return product(range(1, self.degree + 1), repeat=level)
 
     # -- the level action -------------------------------------------------
 
@@ -460,13 +465,12 @@ class GroupDef:
         until the last letter, so each longer word makes one array; the empty
         word and a one-letter word return the shared array of the identity or
         of their letter.  Level `depth`, which has the most vertices and
-        entries, is checked against VERTEX_CAP and LEVEL_ENTRY_CAP before any
-        level is built.
+        entries, is checked against VERTEX_CAP and LEVEL_ENTRY_CAP at the call,
+        before any level is built.
         """
         self._check_level(depth, words)
         perms = {}
-        for n in range(depth + 1):
-            yield self._level(words, n, perms)
+        return (self._level(words, n, perms) for n in range(depth + 1))
 
     def level_perm(self, words: Sequence["Element"], level: int) -> Tuple[array, ...]:
         """Each word's permutation of level `level` alone (see :meth:`level_perms`)."""

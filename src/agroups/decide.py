@@ -45,6 +45,7 @@ Spheres and free-semigroup levels batch their products through `products`;
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import BoundExceeded, Element, MixedGroups, Perm, WreathCoords
@@ -160,11 +161,12 @@ def _syntactic_closure(g: Element):
 
 def _refine(images: List[Tuple[int, ...]], edges: List[Tuple[int, ...]]) -> List[int]:
     """Partition refinement: class assignment per node, by first occurrence."""
-    n = len(images)
     cls = _rank(images)
+    # one gather per node; every row has `degree` entries, so with one letter each
+    # gathers a bare class, and all compare alike
+    getters = [itemgetter(*row) for row in edges]
     while True:
-        sigs = [(cls[i], tuple(cls[j] for j in edges[i])) for i in range(n)]
-        new = _rank(sigs)
+        new = _rank(list(zip(cls, [g(cls) for g in getters])))
         if new == cls:
             return cls
         cls = new

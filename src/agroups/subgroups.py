@@ -27,6 +27,7 @@ from .core import (
     _clip,
     _count,
     _gather,
+    _is_int,
     _shown,
     _within,
     format_vertex,
@@ -206,23 +207,30 @@ def _schreier(gens: GenSet, base: object, actions):
     """Breadth-first transversal (frontiers in sorted order), and in the same pass
     the raw Schreier generator t_y^-1 s t_x, y = s(x), of each point x and generator
     s as ``(id, t_y, s, t_x)``; `actions` holds each generator's action on points.
-    A tree edge, where t_y = s t_x, gives the identity and is left out.  Returns
-    the (x, t_x) pairs, the raw list and the table."""
+    A tree edge, where t_y = s t_x, gives the identity and is left out.  Ids show
+    two more to be the identity, and these get id 0 with no product: an s with the
+    id of the inverse of the step that reached x steps back (s t_x = t_back, and s
+    is not applied), and an s with s t_x's id equal to t_y's.  Returns the (x, t_x)
+    pairs, the raw list and the table."""
     with decide._InternTable(gens.group, "schreier") as table:
         steps = [(s, act, table.intern(s), table.intern(s.inverse()))
                  for s, act in zip(gens.elements, actions)]
-        transversal = {base: (gens.group.identity(), 0, 0)}  # x -> t_x, its id, id of t_x^-1
+        # x -> t_x, its id, id of t_x^-1, the point it came from, id of the inverse of its step
+        transversal = {base: (gens.group.identity(), 0, 0, None, None)}
         order, frontier, raw = [], [base], []
         while frontier:
             discovered = []
             for x in sorted(frontier):
                 order.append(x)
-                t_x, tid, tinv = transversal[x]
+                t_x, tid, tinv, back, undo = transversal[x]
                 for s, act, sid, sinv in steps:
+                    if sid == undo:  # s t_x = t_back, as equal ids are equal automorphisms
+                        raw.append((0, transversal[back][0], s, t_x))
+                        continue
                     y, st = act(x), table.mul(sid, tid)
                     t_y = transversal.get(y)
                     if t_y is None:
-                        transversal[y] = (s * t_x, st, table.mul(tinv, sinv))
+                        transversal[y] = (s * t_x, st, table.mul(tinv, sinv), x, sinv)
                         discovered.append(y)
                         _within(len(transversal) * len(base), VERTEX_CAP,
                                 "transversal", "vertex entries")
@@ -231,7 +239,8 @@ def _schreier(gens: GenSet, base: object, actions):
                         _within(len(transversal) * len(steps), decide.BALL_CAP,
                                 "Schreier pass", "point-generator pairs")
                     else:
-                        raw.append((table.mul(t_y[2], st), t_y[0], s, t_x))
+                        gid = 0 if st == t_y[1] else table.mul(t_y[2], st)  # s t_x = t_y
+                        raw.append((gid, t_y[0], s, t_x))
             frontier = discovered
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
@@ -466,7 +475,7 @@ def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitn
     d = group.degree
     if w.group != group:
         raise MixedGroups("witness element must live in the same group as g")
-    if not all(isinstance(x, int) and not isinstance(x, bool) and 1 <= x <= d for x in (k, m)):
+    if not all(_is_int(x) and 1 <= x <= d for x in (k, m)):
         raise BadArgument(f"slot indices must lie in 1..{d}, got k={_shown(k)}, m={_shown(m)}")
     cs = g.coords()
     if not cs.perm.is_identity():

@@ -79,6 +79,46 @@ ORBITS = _json(group="grigorchuk", depth=3, counts=[1] * 4, levels=[
     {"level": n, "count": 1, "orbits": [[".".join(v) or "." for v in itertools.product("12", repeat=n)]],
      "parent": [0] if n else []} for n in range(4)])
 SECTION = "a b a b"  # (a b a d)^2 at vertex 2, as `section` prints it
+# a generator next to its inverse: the Schreier pass steps back along its transversal
+STAB_INVERSE_PAIR = """\
+stabilizer of level 3: 36 generator(s)
+  a^-1 a^-1
+  a a
+  b^-1 a^-1 a^-1 b
+  b^-1 b^-1 a^-1 a^-1 b b
+  b^-1 a a b
+  b^-1 b^-1 a a b b
+  a^-1 b^-1 b^-1 a^-1 a^-1 b b a
+  b^-1 b^-1 b^-1 a^-1 a^-1 b b b
+  b b b b
+  a^-1 b^-1 b^-1 a a b b a
+  a^-1 b b b b a
+  b^-1 b^-1 b^-1 a a b b b
+  b^-1 a^-1 b^-1 b^-1 a^-1 a^-1 b b a b
+  b^-1 b^-1 a^-1 b^-1 b^-1 a^-1 a^-1 b b a b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a^-1 a^-1 b a b b b
+  b^-1 a^-1 b b b b a b
+  b^-1 b^-1 a^-1 b^-1 b^-1 a^-1 b b a b b a
+  b^-1 a^-1 b^-1 b^-1 a a b b a b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a^-1 b a b b b a
+  b^-1 b^-1 a^-1 b^-1 b^-1 a a b b a b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a a b a b b b
+  b^-1 a^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a b b b a b b
+  b^-1 a^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a^-1 b b b a b b
+  b^-1 a^-1 b^-1 b^-1 a^-1 b^-1 b^-1 a b b a b b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a^-1 a^-1 b b b a b b b
+  a^-1 b^-1 b^-1 a^-1 b b a b b a b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 b^-1 a^-1 b b a b b a b
+  b^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a b b b a b a b
+  b^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a^-1 b b b a b a b
+  b^-1 a^-1 b^-1 a^-1 b b b b a b a b
+  b^-1 a^-1 b^-1 b^-1 a^-1 b b b b a b b a b
+  b^-1 b^-1 b^-1 a^-1 b^-1 b^-1 b^-1 a a b b b a b b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a^-1 b^-1 b^-1 a^-1 a^-1 b b a b a b b b
+  a^-1 b^-1 a^-1 b^-1 a^-1 b b a b b a b a b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a^-1 b^-1 b^-1 a^-1 b b a b a b a b b
+  b^-1 b^-1 b^-1 a^-1 b^-1 a^-1 b^-1 b^-1 a a b b a b a b b b
+"""
 
 ROWS = (
     _answer("trivial json", ("trivial", *G, "--word", "b c d", "--json"),
@@ -130,6 +170,7 @@ ROWS = (
     # the level action at full size: 4,096 configurations x 4 generators, the 16,384 pairs
     # of a Schreier pass, and orbits at subgroups.ORBIT_DEPTH_CAP
     _answer("stab level 4", ("stab", *G, "--level", "4"), seconds=5),
+    _answer("stab inverse pair", ("stab", *B, "--gens", "a; a^-1; b", "--level", "3"), STAB_INVERSE_PAIR),
     _answer("orbits depth 12", ("orbits", *G, "--depth", "12", "--json"), seconds=5),
     # levels, transversals and alphabets over core.VERTEX_CAP
     Row("stab level 24", ("stab", *G, "--level", "24"), err=E("level 24 has over 100000 vertices")),

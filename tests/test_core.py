@@ -48,10 +48,10 @@ def test_perm_rejects_non_bijections():
     with pytest.raises(BadPerm):
         Perm.from_cycles(2, [(1, 1)])
     # letters that are not ints are refused where the range is checked, not in a later TypeError
-    for image in ([2.0, 1.0], ["1"], ["2", 1]):
+    for image in ([2.0, 1.0], ["1"], ["2", 1], (True, 2)):
         with pytest.raises(BadPerm):
             Perm(image)
-    for cycle in ((1, 2.0), (1, "2")):
+    for cycle in ((1, 2.0), (1, "2"), (True, 2)):
         with pytest.raises(BadPerm):
             Perm.from_cycles(2, [cycle])
         with pytest.raises(BadPerm):
@@ -145,9 +145,9 @@ COUNTS = {
     "stab": lambda g, n: subgroups.stabilizer_gens(GenSet.from_group(g), n),
     "freesemigroup": lambda g, n: certify.free_semigroup_check(GenSet.from_group(g), n),
     "rist": lambda g, n: subgroups.rist_elements(GenSet.from_group(g), "1", n),
-    "vertices": lambda g, n: list(g.vertices(n)),
+    "vertices": lambda g, n: g.vertices(n),  # the level is checked at the call, not at next()
     "level perm": lambda g, n: g.level_perm([g.generator("a")], n),
-    "level perms": lambda g, n: list(g.level_perms([g.generator("a")], n)),
+    "level perms": lambda g, n: g.level_perms([g.generator("a")], n),
     "moved vertex": lambda g, n: subgroups.moved_vertex(g.generator("a"), n),
     "fixes level": lambda g, n: subgroups.fixes_level(g.generator("a"), n),
     "identity": lambda g, n: Perm.identity(n),
@@ -354,11 +354,13 @@ def test_vertex_parsing(grig):
     assert grig.vertex((1, 2)) == (1, 2)
     # letters that are not ints are refused with the range check, before any action
     a = grig.generator("a")
-    for v in ((1.0,), ("1",), (1, 2.0)):
+    for v in ((1.0,), ("1",), (1, 2.0), (True, 2)):
         with pytest.raises(BadVertex, match="^letter .* outside 1..2 in vertex "):
             grig.vertex(v)
         with pytest.raises(BadVertex):
             a.act(v)
+        with pytest.raises(BadVertex):
+            grig.identity().act(v)
     assert list(grig.vertices(2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 

@@ -268,21 +268,13 @@ def test_projection_identity_gens(grig):
 def test_stabilizers_match_word_reference(grig, bas, odo, rot3):
     # the id-based Schreier pass keeps the transversal, generators and projections
     # of the word-based one, which deduped by canonical key
-    rng = Random(37)
-    for _ in range(150):
-        group = rng.choice([grig, bas, odo, rot3])
-        words = [str(pc.random_word(group, rng, 4)) for _ in range(rng.randint(1, 3))]
-        if rng.random() < 0.5:
-            words = list(group.state_names) + words
-            rng.shuffle(words)
-        gens = GenSet.from_elements([parse_word(w, group) for w in words])
-        level = rng.randint(0, 3 if group.degree == 2 else 1)
+    def check(gens, level, vertex):
+        group = gens.group
         st = stabilizer_gens(gens, level)
         base = tuple(group.vertices(level))
         transversal, raw = schreier_reference(gens, base, lambda s, c: tuple(map(s.act, c)))
         assert [(x, str(t)) for x, t in st.transversal] == [(x, str(t)) for x, t in transversal]
         assert list(map(str, st.generators)) == list(map(str, dedupe_reference(group, raw)))
-        vertex = pc.random_vertex(group, rng, 3)
         st = vertex_stabilizer_gens(gens, vertex)
         transversal, raw = schreier_reference(gens, vertex, Element.act)
         want = dedupe_reference(group, raw)
@@ -290,6 +282,35 @@ def test_stabilizers_match_word_reference(grig, bas, odo, rot3):
         assert list(map(str, st.generators)) == list(map(str, want))
         sections = first_per_key(g.section(vertex) for g in want)
         assert list(map(str, projection_gens(gens, vertex).elements)) == list(map(str, sections))
+
+    rng, twins = Random(37), Random(41)
+    for n in range(150):
+        group = rng.choice([grig, bas, odo, rot3])
+        words = [str(pc.random_word(group, rng, 4)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            words = list(group.state_names) + words
+            rng.shuffle(words)
+        elements = [parse_word(w, group) for w in words]
+        level = rng.randint(0, 3 if group.degree == 2 else 1)
+        vertex = pc.random_vertex(group, rng, 3)
+        check(GenSet.from_elements(elements), level, vertex)
+        # a word next to its inverse steps back along the transversal, and a word twice
+        # lands on the id of t_y: both are the identity, known without a product
+        i = twins.randrange(len(elements))
+        twin = elements[i].inverse() if n % 2 else elements[i]
+        check(GenSet.from_elements([*elements[: i + 1], twin, *elements[i + 1 :]]), level, vertex)
+
+
+def test_schreier_products_skip_what_ids_decide(grig, bas, monkeypatch):
+    # the products of ids one stabilizer makes, with the step back and t_y's id
+    # read off without one (1,024 and 384 products with neither)
+    calls, mul = [], decide._InternTable.mul
+    monkeypatch.setattr(decide._InternTable, "mul", lambda self, p, q: calls.append(p) or mul(self, p, q))
+    inverse_pair = GenSet.from_elements([parse_word(w, bas) for w in ("a", "a^-1", "b")])
+    for gens, want in ((GenSet.from_group(grig), 608), (GenSet.from_group(bas), 256), (inverse_pair, 332)):
+        calls.clear()
+        stabilizer_gens(gens, 3)
+        assert len(calls) == want
 
 
 # -- rigid stabilizer witnesses -----------------------------------------------------
