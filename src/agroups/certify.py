@@ -14,11 +14,12 @@ the interned automaton ids of :mod:`agroups.decide`.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
+from collections.abc import Iterator
 from string import Formatter
-from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 from . import decide, subgroups
-from .core import BoundExceeded, Element, EngineError, GroupDef, Perm
+from .core import BoundExceeded, EngineError, GroupDef, Perm
 from .core import MAX_DIGITS, _Record, _count, _printable, _shown, _within, format_cycles, format_vertex
 from .subgroups import GenSet
 from .words import parse_word
@@ -49,10 +50,8 @@ class UnknownGroup(EngineError):
     """The certificate names a different group than the one supplied."""
 
 
-class CheckResult(NamedTuple):
-    assertion: "Assertion"
-    passed: bool
-    detail: str = ""
+# one assertion's verdict; `detail` says why it failed, and is "" when it passed
+CheckResult = namedtuple("CheckResult", "assertion passed detail", defaults=("",))
 
 
 # How a part of a form is written where str() does not do; `formats` reads every part.
@@ -224,10 +223,8 @@ class DistinctPositiveWords(Assertion):
         )
 
 
-class Certificate(NamedTuple):
-    name: str
-    group_name: Optional[str]
-    assertions: Tuple[Assertion, ...]
+# a suite as read: its name, the group it names (None if it names none), its assertions
+Certificate = namedtuple("Certificate", "name group_name assertions")
 
 
 class Report(_Record):
@@ -240,7 +237,7 @@ class Report(_Record):
         return all(r.passed for r in self.results)
 
     @property
-    def counts(self) -> Tuple[int, int]:
+    def counts(self) -> tuple[int, int]:
         ok = sum(1 for r in self.results if r.passed)
         return ok, len(self.results)
 
@@ -291,11 +288,8 @@ def run_suite(cert: Certificate, group: GroupDef) -> Report:
 # -- growth experiments --------------------------------------------------------
 
 
-class FreeSemigroupResult(NamedTuple):
-    maxlen: int
-    total_words: int
-    distinct: int
-    collision: Optional[Tuple[Element, Element]]  # first colliding pair
+# `collision` is the first pair of distinct words that give one element, or None
+FreeSemigroupResult = namedtuple("FreeSemigroupResult", "maxlen total_words distinct collision")
 
 
 def _word_count(k: int, maxlen: int) -> int:
@@ -335,7 +329,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
         letters = [table.intern(e) for e in gens.elements]
         # id -> (length, position) of its first word: until the first collision the words of
         # a length come in product() order, so the position's base-k digits spell the word
-        first: Dict[int, Tuple[int, int]] = {}
+        first: dict[int, tuple[int, int]] = {}
         collision = None
         level = [0]
         for length in range(1, maxlen + 1):
@@ -363,7 +357,7 @@ def free_semigroup_check(gens: GenSet, maxlen: int) -> FreeSemigroupResult:
 
 def ball_sizes(
     gens: GenSet, radius: int, max_elements: int = decide.BALL_CAP
-) -> Tuple[int, ...]:
+) -> tuple[int, ...]:
     """Sizes of word-metric balls B(0)..B(radius) over S and S^-1.
 
     Breadth-first search over the interned ids of S and S^-1, each distinct

@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import certify, corpus, decide, formats, subgroups
 from .core import EngineError, GroupDef, _is_number, _shown, format_vertex
@@ -48,7 +48,7 @@ def _gens(args, group: GroupDef) -> GenSet:
     return GenSet.from_group(group)
 
 
-def _json(value, indent: str, out: List[str]) -> None:
+def _json(value, indent: str, out: list[str]) -> None:
     """Append the text of json.dumps(value, indent=2), nested `indent` deep, to `out`,
     for the values a payload holds: dicts with str keys, lists, str, int, bool and
     None.  TypeError for any other value."""
@@ -87,10 +87,10 @@ def _json(value, indent: str, out: List[str]) -> None:
         raise TypeError(f"{kind.__name__} is not written directly")
 
 
-def _emit(args, payload: Optional[dict], text_lines: Iterable[str]) -> None:
+def _emit(args, payload: dict | None, text_lines: Iterable[str]) -> None:
     """Print the payload as JSON under --json, else the text lines, read only here."""
     if payload is not None and args.json:
-        out: List[str] = []
+        out: list[str] = []
         _json(payload, "", out)
         print("".join(out))
     else:
@@ -174,7 +174,7 @@ def chain_dot(report: subgroups.OrbitChainReport) -> str:
 # (None for graphviz, which --json does not replace), its text lines and its exit code.
 # Text of more than one line comes from a generator, which only _emit reads, in text
 # mode, so a --json request formats none of it; lines reuse the payload's strings.
-Result = Tuple[Optional[dict], Iterable[str], int]
+Result = tuple[dict | None, Iterable[str], int]
 
 
 def _integer(text: str) -> int:
@@ -201,7 +201,7 @@ DOT = ("--dot", {"action": "store_true", "help": "emit graphviz"})
 
 # (name, summary, handler, options after --group and --json), one row per subcommand
 # in `agt --help` order; the @command decorators below fill it at import and nothing else
-COMMANDS: List[Tuple[str, str, Callable[..., Result], tuple]] = []
+COMMANDS: list[tuple[str, str, Callable[..., Result], tuple]] = []
 
 
 def command(name: str, summary: str, *options):
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_clean(row: tuple, tokens: List[str]) -> Optional[argparse.Namespace]:
+def _read_clean(row: tuple, tokens: list[str]) -> argparse.Namespace | None:
     """The Namespace argparse gives for `tokens` after the command of `row`, if they are clean.
 
     Clean: each token is an exact flag of the row, given once, and a flag that is
@@ -580,7 +580,7 @@ def _read_clean(row: tuple, tokens: List[str]) -> Optional[argparse.Namespace]:
     return args
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     row = next((row for row in COMMANDS if argv and argv[0] == row[0]), None)
     args = None if row is None else _read_clean(row, argv[1:])

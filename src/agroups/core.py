@@ -30,10 +30,10 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import product
 from operator import itemgetter
-from collections.abc import Mapping  # typing.Mapping's isinstance check takes 3x as long
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BadArgument",
@@ -102,9 +102,9 @@ class BadArgument(EngineError, ValueError):
     """A number that is not an int, or lies outside the range an operation accepts."""
 
 
-Vertex = Tuple[int, ...]
+Vertex = tuple[int, ...]
 
-Letter = Tuple[str, int]  # (state name, exponent +1 or -1)
+Letter = tuple[str, int]  # (state name, exponent +1 or -1)
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_@.]*"  # state, group and suite names, in every grammar that reads one
 _NAME_RE = re.compile(_NAME + r"\Z")
@@ -157,7 +157,7 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
+def _count(n: int, what: str, low: int, cap: int | None = None) -> int:
     """`n`, if it is an int in low..cap: the one check of a count, level, degree or cap
     that a caller passes.  BadArgument if it is not an int, is a bool or lies below
     `low`; BoundExceeded above `cap`."""
@@ -169,6 +169,17 @@ def _count(n: int, what: str, low: int, cap: Optional[int] = None) -> int:
     if cap is not None and n > cap:
         raise BoundExceeded(f"{what} {_shown(n)} exceeds cap {cap}")
     return n
+
+
+def _items(value: object, error: type[EngineError], what: str, *names: object) -> tuple:
+    """tuple(value); `error` if `value` is not iterable, naming `what` (with each of `names`
+    echoed into a ``{}`` of it, only then) and echoing `value`."""
+    try:
+        items = iter(value)
+    except TypeError:
+        what = what.format(*map(_shown, names))
+        raise error(f"{what} must be iterable, got {_shown(value)}") from None
+    return tuple(items)
 
 
 def _within(n: int, cap: int, what: str, unit: str) -> int:
@@ -214,13 +225,13 @@ class Perm:
     __slots__ = ("image",)
 
     def __init__(self, image: Iterable[int]):
-        image = tuple(image)
+        image = _items(image, BadPerm, "permutation image")
         if not all(map(_is_int, image)) or sorted(image) != list(range(1, len(image) + 1)):
             raise BadPerm(f"not a bijection of 1..{len(image)}: {_shown(image)}")
         self.image = image
 
     @classmethod
-    def _make(cls, image: Tuple[int, ...]) -> "Perm":
+    def _make(cls, image: tuple[int, ...]) -> "Perm":
         perm = object.__new__(cls)
         perm.image = image
         return perm
@@ -232,13 +243,13 @@ class Perm:
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Iterable[int]]) -> "Perm":
         image = list(range(1, _count(degree, "degree", 0, VERTEX_CAP) + 1))
-        for cycle in cycles:
-            cycle = list(cycle)
+        for cycle in _items(cycles, BadPerm, "cycles"):
+            cycle = _items(cycle, BadPerm, "cycle")
             for x in cycle:
                 if not _is_int(x) or not 1 <= x <= degree:
                     raise BadPerm(f"letter {_shown(x)} outside 1..{degree}")
             if len(set(cycle)) != len(cycle):
-                raise BadPerm(f"repeated letter in cycle {_shown(tuple(cycle))}")
+                raise BadPerm(f"repeated letter in cycle {_shown(cycle)}")
             for i, x in enumerate(cycle):
                 image[x - 1] = cycle[(i + 1) % len(cycle)]
         return cls(image)
@@ -267,7 +278,7 @@ class Perm:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.image, start=1))
 
-    def cycles(self) -> Tuple[Tuple[int, ...], ...]:
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least letter, sorted."""
         seen = set()
         out = []
@@ -293,9 +304,8 @@ class Perm:
         return format_cycles(self.cycles())
 
 
-class State(NamedTuple):
-    slots: Tuple[Optional[str], ...]  # None marks the identity entry
-    perm: Perm
+# a state's slot entries, each a state name or None for the identity, and its root Perm
+State = namedtuple("State", "slots perm")
 
 
 class _Record:
@@ -305,7 +315,7 @@ class _Record:
     per class, so defining one costs no time at import."""
 
     __slots__ = ()
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -389,7 +399,7 @@ class GroupDef:
     # -- states ---------------------------------------------------------
 
     @property
-    def state_names(self) -> Tuple[str, ...]:
+    def state_names(self) -> tuple[str, ...]:
         return tuple(self._states)
 
     def state(self, name: str) -> State:
@@ -420,11 +430,11 @@ class GroupDef:
 
     # -- vertices --------------------------------------------------------
 
-    def vertex(self, v: Union[str, Sequence[int]]) -> Vertex:
+    def vertex(self, v: str | Sequence[int]) -> Vertex:
         """Normalize a vertex given as a tuple or dot-separated text."""
         if isinstance(v, str):
             v = _parse_vertex(v) if v.strip() else ()
-        v = tuple(v)
+        v = _items(v, BadVertex, "vertex")
         for letter in v:
             if not _is_int(letter) or not 1 <= letter <= self.degree:
                 raise BadVertex(
@@ -453,7 +463,7 @@ class GroupDef:
 
     # -- the level action -------------------------------------------------
 
-    def level_perms(self, words: Sequence["Element"], depth: int) -> Iterator[Tuple[array, ...]]:
+    def level_perms(self, words: Sequence["Element"], depth: int) -> Iterator[tuple[array, ...]]:
         """For n = 0..depth, each word's permutation of level n, as an array
         whose entry r is the rank of the image of the vertex of rank r (ranks
         follow :meth:`vertices`).  The arrays are shared; do not mutate them.
@@ -472,18 +482,18 @@ class GroupDef:
         perms = {}
         return (self._level(words, n, perms) for n in range(depth + 1))
 
-    def level_perm(self, words: Sequence["Element"], level: int) -> Tuple[array, ...]:
+    def level_perm(self, words: Sequence["Element"], level: int) -> tuple[array, ...]:
         """Each word's permutation of level `level` alone (see :meth:`level_perms`)."""
         self._check_level(level, words)
         return self._level(words, level, {})
 
-    def _level(self, words: Sequence["Element"], n: int, perms: dict) -> Tuple[array, ...]:
+    def _level(self, words: Sequence["Element"], n: int, perms: dict) -> tuple[array, ...]:
         """Each word's permutation of level n.  ``perms[x, m]`` memoizes letter x's
         permutation of level m; x = None is the identity, whose slices are identity blocks.
         The caller has checked level n."""
         d, table = self.degree, self._table
 
-        def perm(x: Optional[Letter], m: int) -> array:
+        def perm(x: Letter | None, m: int) -> array:
             out = perms.get((x, m))
             if out is None:
                 if x is None or not m:
@@ -547,7 +557,7 @@ def _check_size(states: int, degree: int) -> None:
 
 def make_group(
     alphabet_size: int,
-    states: Union[Mapping[str, tuple], Iterable[tuple]],
+    states: Mapping[str, tuple] | Iterable[tuple],
     name: str = "G",
 ) -> GroupDef:
     """Validate a state table and return the group it defines.
@@ -560,16 +570,19 @@ def make_group(
     """
     _count(alphabet_size, "alphabet size", 1)
     if isinstance(states, Mapping):
-        rows = [(n, slots, perm) for n, (slots, perm) in states.items()]
+        rows = [(n, *_items(entry, BadArgument, "state {}", n)) for n, entry in states.items()]
     else:
-        rows = [tuple(row) for row in states]
+        rows = [_items(row, BadArgument, "state row") for row in _items(states, BadArgument, "states")]
     _check_size(len(rows), alphabet_size)
     if not rows:
         raise EmptyGroup(f"group {_shown(name)} declares no states")
 
     table: "dict[str, State]" = {}
     identity = Perm.identity(alphabet_size)  # shared: a Perm is immutable
-    for state_name, slots, perm in rows:
+    for row in rows:
+        if len(row) != 3:
+            raise BadArgument(f"state row must be (name, slots, perm), got {_shown(row)}")
+        state_name, slots, perm = row
         if not isinstance(state_name, str) or not _NAME_RE.match(state_name):
             raise BadStateName(f"invalid state name {_shown(state_name)}")
         if state_name in table:
@@ -582,6 +595,7 @@ def make_group(
             raise BadPerm(
                 f"state {_shown(state_name)}: permutation degree {perm.degree} != {alphabet_size}"
             )
+        slots = _items(slots, UnknownState, "state {}: slots", state_name)
         slots = tuple([None if s is None or s == "1" else s for s in slots])
         if len(slots) != alphabet_size:
             raise UnknownState(
@@ -599,14 +613,11 @@ def make_group(
     return GroupDef(name, alphabet_size, table)
 
 
-class WreathCoords(NamedTuple):
-    """First-level decomposition of an element: d slot elements + root perm."""
-
-    slots: Tuple["Element", ...]
-    perm: Perm
+WreathCoords = namedtuple("WreathCoords", "slots perm")
+WreathCoords.__doc__ = """First-level decomposition of an element: d slot elements + root perm."""
 
 
-def _reduce(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
+def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     out: "list[Letter]" = [("", 0)]  # a sentinel that cancels no letter
     for letter in letters:
         last = out[-1]
@@ -638,7 +649,7 @@ class Element:
         self.letters = _reduce(letters)
 
     @classmethod
-    def _make(cls, group: GroupDef, letters: Tuple[Letter, ...]) -> "Element":
+    def _make(cls, group: GroupDef, letters: tuple[Letter, ...]) -> "Element":
         # trusted path: letters already validated and reduced
         elem = object.__new__(cls)
         elem.group = group
@@ -713,15 +724,15 @@ class Element:
             slots[j] = Element._make(group, tuple(word[:0:-1]))
         return WreathCoords(tuple(slots), Perm._make(tuple(image)))
 
-    def section(self, v: Union[str, Sequence[int]]) -> "Element":
+    def section(self, v: str | Sequence[int]) -> "Element":
         """The element induced on the subtree at vertex `v` (see :meth:`_descend`)."""
         return Element._make(self.group, self._descend(v)[1])
 
-    def act(self, v: Union[str, Sequence[int]]) -> Vertex:
+    def act(self, v: str | Sequence[int]) -> Vertex:
         """Image of the vertex `v` (see :meth:`_descend`)."""
         return self._descend(v)[0]
 
-    def _descend(self, v: Union[str, Sequence[int]]) -> Tuple[Vertex, Tuple[Letter, ...]]:
+    def _descend(self, v: str | Sequence[int]) -> tuple[Vertex, tuple[Letter, ...]]:
         """The image of the vertex `v` and the letters of the section there.
         Each letter, right to left, walks down v; a letter that reaches the
         bottom ends in a state, and these states, reduced in reverse, spell

@@ -45,10 +45,10 @@ Spheres and free-semigroup levels batch their products through `products`;
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .core import BoundExceeded, Element, MixedGroups, Perm, WreathCoords
+from .core import BoundExceeded, Element, MixedGroups, WreathCoords
 from .core import _count, _level_over, _printable, _shown, _within
 
 __all__ = [
@@ -99,7 +99,7 @@ class _Expansions(dict):
         return cs
 
 
-def is_trivial(g: Element, expand: Optional[_Expansions] = None) -> bool:
+def is_trivial(g: Element, expand: _Expansions | None = None) -> bool:
     """True iff `g` denotes the identity automorphism.  A caller that checks
     many sections passes its own `expand`, so that they share expansions."""
     if expand is None:
@@ -138,10 +138,10 @@ def _syntactic_closure(g: Element):
     tuple and edges[i][k-1] is the node index of its section at letter k.
     """
     expand = _Expansions()
-    nodes: List[Element] = [g]
-    index: Dict[tuple, int] = {g.letters: 0}
-    images: List[Tuple[int, ...]] = []
-    edges: List[Tuple[int, ...]] = []
+    nodes: list[Element] = [g]
+    index: dict[tuple, int] = {g.letters: 0}
+    images: list[tuple[int, ...]] = []
+    edges: list[tuple[int, ...]] = []
     for h in nodes:  # the list grows while it is walked
         slots, perm = expand(h)
         row = []
@@ -159,7 +159,7 @@ def _syntactic_closure(g: Element):
     return nodes, images, edges
 
 
-def _refine(images: List[Tuple[int, ...]], edges: List[Tuple[int, ...]]) -> List[int]:
+def _refine(images: list[tuple[int, ...]], edges: list[tuple[int, ...]]) -> list[int]:
     """Partition refinement: class assignment per node, by first occurrence."""
     cls = _rank(images)
     # one gather per node; every row has `degree` entries, so with one letter each
@@ -172,8 +172,8 @@ def _refine(images: List[Tuple[int, ...]], edges: List[Tuple[int, ...]]) -> List
         cls = new
 
 
-def _rank(keys: list) -> List[int]:
-    ranks: Dict[object, int] = {}
+def _rank(keys: list) -> list[int]:
+    ranks: dict[object, int] = {}
     out = []
     for k in keys:
         if k not in ranks:
@@ -182,16 +182,16 @@ def _rank(keys: list) -> List[int]:
     return out
 
 
-def _canonical_order(cls: List[int], images, edges, start: int):
+def _canonical_order(cls: list[int], images, edges, start: int):
     """BFS numbering of the classes reachable from `start`'s class.
 
     Returns (class order list, per-class edge rows) where entry i of the
     rows is (perm image, tuple of class numbers of the children).
     """
-    node_of_class: Dict[int, int] = {}
+    node_of_class: dict[int, int] = {}
     for i, c in enumerate(cls):
         node_of_class.setdefault(c, i)
-    number: Dict[int, int] = {cls[start]: 0}
+    number: dict[int, int] = {cls[start]: 0}
     order = [cls[start]]
     rows = []
     pos = 0
@@ -223,7 +223,7 @@ class _Closure:
     def __init__(self, g: Element):
         self.nodes, self.images, self.edges = _syntactic_closure(g)
         self.cls = _refine(self.images, self.edges)
-        self.keys: Dict[int, tuple] = {}
+        self.keys: dict[int, tuple] = {}
 
     def key(self, i: int) -> tuple:
         """The canonical key of node i, numbered the first time it is asked for."""
@@ -232,13 +232,13 @@ class _Closure:
             key = self.keys[i] = tuple(_canonical_order(self.cls, self.images, self.edges, i)[1])
         return key
 
-    def refs(self) -> List[Tuple[int, ...]]:
+    def refs(self) -> list[tuple[int, ...]]:
         """The edges with the identity node as ``~0``, as `_InternTable._absorb` reads them."""
         nodes = self.nodes
         return [tuple([j if nodes[j].letters else ~0 for j in row]) for row in self.edges]
 
 
-def _letter_closure(g: Element) -> Tuple[_Closure, int]:
+def _letter_closure(g: Element) -> tuple[_Closure, int]:
     """The closure of a one-letter word and the word's node in it.  A group
     builds a closure the first time one of its letters is asked for, and
     keeps it for every letter in it that no earlier closure holds."""
@@ -261,16 +261,14 @@ def canonical_key(g: Element):
     return _Closure(g).key(0)
 
 
-class SectionClosure(NamedTuple):
+class SectionClosure(namedtuple("SectionClosure", "element elements edges")):
     """All distinct sections of one element, with letter-labeled edges.
 
     ``elements[0]`` is the element itself; ``edges[i][k-1]`` indexes the
     section of ``elements[i]`` at letter k.
     """
 
-    element: Element
-    elements: Tuple[Element, ...]
-    edges: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -284,7 +282,7 @@ def section_closure(g: Element) -> SectionClosure:
 
     # representative per class: the element itself for its own class,
     # otherwise the shortest (then lexicographically least) member word
-    reps: Dict[int, Element] = {cls[0]: g}
+    reps: dict[int, Element] = {cls[0]: g}
     for i in sorted(range(len(nodes)), key=lambda i: (len(nodes[i].letters), nodes[i].letters)):
         reps.setdefault(cls[i], nodes[i])
 
@@ -327,13 +325,13 @@ class _InternTable:
         self.job = job
         row = (tuple(range(1, group.degree + 1)), (0,) * group.degree)
         self.images, self.kids = [row[0]], [row[1]]
-        self._ids: Dict[tuple, int] = {row: 0}  # by row (image, kids)
+        self._ids: dict[tuple, int] = {row: 0}  # by row (image, kids)
         self._distinct_images = {row[0]: row[0]}  # one tuple per root image, shared by rows
         self._composed = _Composed(self._distinct_images)
         self._made = [0]  # 0 and the ids `_cycles` made: every id on a cycle
-        self._products: Dict[Tuple[int, int], int] = {}
-        self._by_key: Dict[tuple, int] = {}  # canonical key -> id, filled by `intern`
-        self._absorbed: Dict[_Closure, List[int]] = {}  # letter closure -> its nodes' ids
+        self._products: dict[tuple[int, int], int] = {}
+        self._by_key: dict[tuple, int] = {}  # canonical key -> id, filled by `intern`
+        self._absorbed: dict[_Closure, list[int]] = {}  # letter closure -> its nodes' ids
         self.walks = self.slow = self.refined = 0  # refined: nodes `_cycles` refined
 
     def intern(self, g: Element) -> int:
@@ -371,16 +369,16 @@ class _InternTable:
         x = products[p, q] = self._state(self._composed[images[q]][images[p]], tuple(row))
         return x
 
-    def products(self, ps: List[int], qs: List[int]) -> List[int]:
+    def products(self, ps: list[int], qs: list[int]) -> list[int]:
         """``[self.mul(p, q) for p in ps for q in qs]``, making the same states."""
         return self._times(ps, self._factors(qs))
 
-    def _factors(self, qs: List[int]) -> list:
+    def _factors(self, qs: list[int]) -> list:
         """Each q as `_times` reads it: q, its (image index, kid) pairs, `_composed[q's image]`."""
         images, kids, composed = self.images, self.kids, self._composed
         return [(q, [*zip([j - 1 for j in images[q]], kids[q])], composed[images[q]]) for q in qs]
 
-    def _times(self, ps: List[int], factors: list) -> List[int]:
+    def _times(self, ps: list[int], factors: list) -> list[int]:
         """`products` of `ps` and the `_factors` of qs: `mul`, with `_state` inlined."""
         products, images, kids, ids, out = self._products, self.images, self.kids, self._ids, []
         for p in ps:
@@ -428,7 +426,7 @@ class _InternTable:
         products.update(zip(pairs, self._absorb(new_images, refs)))
         return products[(p, q)]
 
-    def spheres(self, letters: List[int], radius: int, cap: int = BALL_CAP):
+    def spheres(self, letters: list[int], radius: int, cap: int = BALL_CAP):
         """Yield spheres 1..radius of the Cayley graph on the ids `letters`:
         lists of ``(id, position of its parent in the previous sphere, letter
         index)`` in first-occurrence order.  Each distinct id is multiplied
@@ -463,10 +461,10 @@ class _InternTable:
             self.job, len(self.images), len(self._products), self.walks, self.slow,
         )
 
-    def _absorb(self, images, refs) -> List[int]:
+    def _absorb(self, images, refs) -> list[int]:
         """Ids of new states; ``refs[i][k-1]`` is a new state's index or ``~id``.
         When a pass finds no state whose sections all have ids, `_cycles` runs."""
-        ids: Dict[int, int] = {}
+        ids: dict[int, int] = {}
         left = list(range(len(images) - 1, -1, -1))  # sections tend to come later
         while left:
             todo, left = left, []
@@ -480,7 +478,7 @@ class _InternTable:
                 left = self._cycles(images, refs, ids, left)
         return [ids[i] for i in range(len(images))]
 
-    def _state(self, image: Tuple[int, ...], kids: Tuple[int, ...]) -> int:
+    def _state(self, image: tuple[int, ...], kids: tuple[int, ...]) -> int:
         """The id of the state with this row, appended if it is new."""
         x = self._ids.get((image, kids))
         if x is None:
@@ -531,11 +529,11 @@ class _InternTable:
 # -- order ------------------------------------------------------------------
 
 
-class OrderResult(NamedTuple):
-    """Exact order when found within the bound, otherwise the bound."""
+class OrderResult(namedtuple("OrderResult", "value bound")):
+    """Exact order when found within the bound, otherwise the bound: `value` is the
+    order, or None if it exceeds `bound`."""
 
-    value: Optional[int]
-    bound: int
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -559,17 +557,16 @@ def order(g: Element, bound: int = 64) -> OrderResult:
 # -- portraits ----------------------------------------------------------------
 
 
-class Portrait(NamedTuple):
+class Portrait(namedtuple("Portrait", "perm children residual")):
     """Finite tree of root permutations; leaves keep the residual element.
 
     The child at letter i describes the subtree at vertex i, i.e. the
     section there, so the node reached along a vertex v carries
-    ``coords(g.section(v)).perm``.
+    ``coords(g.section(v)).perm``.  A leaf has perm None and no children,
+    an inner node residual None.
     """
 
-    perm: Optional[Perm]
-    children: Tuple["Portrait", ...]
-    residual: Optional[Element]
+    __slots__ = ()
 
     @property
     def depth(self) -> int:
@@ -596,7 +593,7 @@ def portrait(g: Element, depth: int) -> Portrait:
 # -- activity -----------------------------------------------------------------
 
 
-def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
+def activity_sequence(g: Element, levels: int) -> tuple[int, ...]:
     """Counts of level-n vertices with nontrivial section, n = 0..levels.
 
     Level by level expansion; each level keeps a multiset of nontrivial
@@ -606,7 +603,7 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
     """
     _count(levels, "levels", 0, ACTIVITY_LEVELS_CAP)
     expand = _Expansions()
-    memo: Dict[tuple, bool] = {}
+    memo: dict[tuple, bool] = {}
 
     def trivial(e: Element) -> bool:
         v = memo.get(e.letters)
@@ -615,12 +612,12 @@ def activity_sequence(g: Element, levels: int) -> Tuple[int, ...]:
         return v
 
     counts = []
-    current: Dict[tuple, Tuple[Element, int]] = {}
+    current: dict[tuple, tuple[Element, int]] = {}
     if not trivial(g):
         current[g.letters] = (g, 1)
     counts.append(sum(c for _, c in current.values()))
     for _ in range(levels):
-        nxt: Dict[tuple, Tuple[Element, int]] = {}
+        nxt: dict[tuple, tuple[Element, int]] = {}
         for elem, mult in current.values():
             # the slot multiset equals the section multiset over letters
             for s in expand(elem).slots:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import re
 from functools import partial
-from typing import Iterator, List, Optional, Tuple
+from collections.abc import Iterator
 
 from .certify import Assertion, Certificate
 from .core import _NAME, _NAME_RE, CELL_CAP, BadVertex, EngineError, GroupDef, _clip, _is_number
@@ -53,7 +53,7 @@ _CLEAN_CYCLE = r"\([0-9]{1,9}(?: [0-9]{1,9})*\)"
 _CLEAN_GEN_RE = re.compile(rf"({_NAME}) = \(({_SLOT}(?:, {_SLOT})*)\)(?: ((?:{_CLEAN_CYCLE})+))?\Z")
 
 
-def _lines(text: str) -> Iterator[Tuple[int, str, str]]:
+def _lines(text: str) -> Iterator[tuple[int, str, str]]:
     """(line number, keyword, rest) of each line that is not blank or a comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         split = raw.split("#", 1)[0].split(None, 1)
@@ -73,7 +73,7 @@ def _name(what: str, text: str, line_no: int) -> str:
     return text
 
 
-def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ...]]:
+def _parse_cycles(text: str, line_no: int) -> tuple[tuple[int, ...], ...] | None:
     text = text.strip()
     if text in ("", "id"):
         return None
@@ -88,7 +88,7 @@ def _parse_cycles(text: str, line_no: int) -> Optional[Tuple[Tuple[int, ...], ..
     return tuple(cycles)
 
 
-def _parse_tuple_then_rest(text: str, line_no: int) -> Tuple[List[str], str]:
+def _parse_tuple_then_rest(text: str, line_no: int) -> tuple[list[str], str]:
     """Split ``( p1, p2, ... ) rest``; commas split only at tuple depth, and
     `rest` keeps the text after ``)`` as it is."""
     text = text.strip()
@@ -119,7 +119,7 @@ def parse_group_file(text: str) -> GroupDef:
     """The group of a ``.agt`` text.  Every line is read, so that a syntax error
     anywhere names its line, but rows are kept only while they fit `CELL_CAP`."""
     header: dict = {}
-    rows: List[tuple] = []
+    rows: list[tuple] = []
     states = 0  # `gen` lines read
     for line_no, keyword, rest in _lines(text):
         if keyword == "group":
@@ -240,7 +240,7 @@ _READ = {
 }
 
 
-def _form(cls) -> List[tuple]:
+def _form(cls) -> list[tuple]:
     """(part, separator after it, its pattern) for each field of `cls.form`.
     A symbol separator is found anywhere, a word one only between
     whitespace; a field with no separator after it runs to the end of the
@@ -256,7 +256,7 @@ def _form(cls) -> List[tuple]:
 _FORMS = {cls.kind: (cls, _form(cls)) for cls in Assertion.__subclasses__()}
 
 
-def _read_assertion(cls, form: List[tuple], rest: str, line_no: int) -> Assertion:
+def _read_assertion(cls, form: list[tuple], rest: str, line_no: int) -> Assertion:
     fields = []  # every separator is found before any field is read
     for part, sep, pattern in form:
         if part == "tuple":
@@ -276,7 +276,7 @@ def _read_assertion(cls, form: List[tuple], rest: str, line_no: int) -> Assertio
 
 def parse_certificate(text: str) -> Certificate:
     header: dict = {}
-    assertions: List[Assertion] = []
+    assertions: list[Assertion] = []
     for line_no, keyword, rest in _lines(text):
         if keyword in ("suite", "group"):
             _header(header, keyword, _name(keyword, rest, line_no), line_no)

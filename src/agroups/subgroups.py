@@ -12,7 +12,8 @@ data and are certified elsewhere through explicit witnesses.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from . import decide
 from .core import (
@@ -79,7 +80,7 @@ class GenSet(_Record):
 
     __slots__ = _fields = ("group", "names", "elements")
 
-    def __init__(self, group: GroupDef, names: Tuple[str, ...], elements: Tuple[Element, ...]):
+    def __init__(self, group: GroupDef, names: tuple[str, ...], elements: tuple[Element, ...]):
         if not elements:
             raise EngineError("generating set must be nonempty")
         if len(names) != len(elements):
@@ -95,14 +96,14 @@ class GenSet(_Record):
 
     @classmethod
     def from_elements(
-        cls, elements: Sequence[Element], names: Optional[Sequence[str]] = None
+        cls, elements: Sequence[Element], names: Sequence[str] | None = None
     ) -> "GenSet":
         elements = tuple(elements)
         if names is None:
             names = tuple(str(e) for e in elements)
         return cls(elements[0].group if elements else None, tuple(names), elements)
 
-    def items(self) -> Iterable[Tuple[str, Element]]:
+    def items(self) -> Iterable[tuple[str, Element]]:
         return zip(self.names, self.elements)
 
     def __len__(self) -> int:
@@ -112,12 +113,11 @@ class GenSet(_Record):
 # -- orbits -------------------------------------------------------------------
 
 
-class OrbitLevel(NamedTuple):
-    """Orbit partition of one level; blocks sorted by their least vertex."""
+class OrbitLevel(namedtuple("OrbitLevel", "level blocks parent")):
+    """Orbit partition of one level; blocks sorted by their least vertex.  `parent`
+    holds, per block, the index of its block at the previous level."""
 
-    level: int
-    blocks: Tuple[Tuple[Vertex, ...], ...]
-    parent: Tuple[int, ...]  # block index at the previous level, per block
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -130,15 +130,14 @@ class OrbitLevel(NamedTuple):
         raise KeyError(v)
 
 
-class OrbitTable(NamedTuple):
-    """Per-level orbit partitions with the parent map between orbit sets."""
+class OrbitTable(namedtuple("OrbitTable", "gens depth levels")):
+    """Per-level orbit partitions with the parent map between orbit sets;
+    ``levels[n]`` is the OrbitLevel of level n, starting at the root."""
 
-    gens: GenSet
-    depth: int
-    levels: Tuple[OrbitLevel, ...]  # index n = level n, starting at the root
+    __slots__ = ()
 
     @property
-    def counts(self) -> Tuple[int, ...]:
+    def counts(self) -> tuple[int, ...]:
         return tuple(lv.count for lv in self.levels)
 
     def level(self, n: int) -> OrbitLevel:
@@ -164,7 +163,7 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
         perms = list({perm.tobytes(): perm for perm in perms}.values())  # equal actions once
         verts = list(group.vertices(n))
         assigned = [-1] * len(verts)
-        blocks: List[Tuple[Vertex, ...]] = []
+        blocks: list[tuple[Vertex, ...]] = []
         parent = []
         for seed in range(len(verts)):
             if assigned[seed] >= 0:
@@ -188,19 +187,14 @@ def orbits(gens: GenSet, depth: int) -> OrbitTable:
 # -- stabilizers ---------------------------------------------------------------
 
 
-class StabilizerGens(NamedTuple):
-    """Schreier generators of a level or vertex stabilizer, one per automorphism.
+StabilizerGens = namedtuple("StabilizerGens", "gens level vertex generators transversal")
+StabilizerGens.__doc__ = """Schreier generators of a level or vertex stabilizer, one per automorphism.
 
-    `transversal` records, per reached point, a word moving the base point
-    there; points are level-action configurations for level stabilizers
-    and plain vertices otherwise.
-    """
-
-    gens: GenSet
-    level: Optional[int]
-    vertex: Optional[Vertex]
-    generators: Tuple[Element, ...]
-    transversal: Tuple[Tuple[object, Element], ...]
+`level` or `vertex` names the stabilizer, the other is None.  `transversal`
+records, per reached point, a (point, word) pair, the word moving the base
+point there; points are level-action configurations for level stabilizers
+and plain vertices otherwise.
+"""
 
 
 def _schreier(gens: GenSet, base: object, actions):
@@ -245,10 +239,10 @@ def _schreier(gens: GenSet, base: object, actions):
     return tuple((x, transversal[x][0]) for x in order), raw, table
 
 
-def _dedupe_gens(group: GroupDef, raw) -> Dict[int, Element]:
+def _dedupe_gens(group: GroupDef, raw) -> dict[int, Element]:
     """By id, the word of the first raw generator per nonzero id (equal ids
     are equal automorphisms), or the identity alone if there is none."""
-    kept: Dict[int, Element] = {}
+    kept: dict[int, Element] = {}
     for gid, t_y, s, t_x in raw:
         if gid and gid not in kept:
             kept[gid] = t_y.inverse() * s * t_x
@@ -273,7 +267,7 @@ def stabilizer_gens(gens: GenSet, level: int) -> StabilizerGens:
     return StabilizerGens(gens, level, None, generators, transversal)
 
 
-def vertex_stabilizer_gens(gens: GenSet, vertex: Union[str, Vertex]) -> StabilizerGens:
+def vertex_stabilizer_gens(gens: GenSet, vertex: str | Vertex) -> StabilizerGens:
     """Generators of the subgroup fixing one vertex, via Schreier's lemma."""
     vertex = gens.group.vertex(vertex)
     transversal, raw, _ = _schreier(gens, vertex, [s.act for s in gens.elements])
@@ -281,7 +275,7 @@ def vertex_stabilizer_gens(gens: GenSet, vertex: Union[str, Vertex]) -> Stabiliz
     return StabilizerGens(gens, None, vertex, generators, transversal)
 
 
-def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
+def projection_gens(gens: GenSet, vertex: str | Vertex) -> GenSet:
     """Sections at `vertex` of the vertex stabilizer's Schreier generators.
 
     These generate the projection of the stabilizer of `vertex` to the
@@ -290,7 +284,7 @@ def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
     """
     vertex = gens.group.vertex(vertex)
     _, raw, table = _schreier(gens, vertex, [s.act for s in gens.elements])
-    first: Dict[int, Element] = {}
+    first: dict[int, Element] = {}
     for x, g in _dedupe_gens(gens.group, raw).items():
         for k in vertex:
             x = table.kids[x][k - 1]
@@ -301,7 +295,7 @@ def projection_gens(gens: GenSet, vertex: Union[str, Vertex]) -> GenSet:
 # -- rigid stabilizer witnesses --------------------------------------------------
 
 
-def moved_vertex(g: Element, level: int) -> Optional[Vertex]:
+def moved_vertex(g: Element, level: int) -> Vertex | None:
     """The least vertex of the given level that `g` moves, or None."""
     perm, = g.group.level_perm((g,), level)
     moved = next((r for r, image in enumerate(perm) if image != r), None)
@@ -313,7 +307,7 @@ def fixes_level(g: Element, level: int) -> bool:
     return moved_vertex(g, level) is None
 
 
-def is_supported_only_at(g: Element, vertex: Union[str, Vertex]) -> bool:
+def is_supported_only_at(g: Element, vertex: str | Vertex) -> bool:
     """True iff `g` fixes level |v| pointwise and every section away from
     `vertex` on that level is trivial: walking down `vertex`, each section
     met fixes its first level and is trivial in every slot off the path."""
@@ -330,8 +324,8 @@ def is_supported_only_at(g: Element, vertex: Union[str, Vertex]) -> bool:
 
 
 def rist_elements(
-    gens: GenSet, vertex: Union[str, Vertex], maxlen: int
-) -> List[Element]:
+    gens: GenSet, vertex: str | Vertex, maxlen: int
+) -> list[Element]:
     """Witness search: nontrivial elements of length <= maxlen supported
     only at `vertex`.
 
@@ -358,24 +352,18 @@ def rist_elements(
 # -- orbit chains ----------------------------------------------------------------
 
 
-class OrbitChainReport(NamedTuple):
-    """Orbit counts below a vertex and the stabilized chain, if any.
+OrbitChainReport = namedtuple("OrbitChainReport", "vertex table counts stabilized stable_level chain")
+OrbitChainReport.__doc__ = """Orbit counts below a vertex and the stabilized chain, if any.
 
-    `stable_level` is the least level from which the counts stay constant
-    through the computed depth; `chain` then follows the unique child
-    orbit of the lexicographically least orbit at that level.
-    """
-
-    vertex: Vertex
-    table: OrbitTable
-    counts: Tuple[int, ...]
-    stabilized: bool
-    stable_level: Optional[int]
-    chain: Optional[Tuple[Tuple[Vertex, ...], ...]]
+`stable_level` is the least level from which the counts stay constant
+through the computed depth; `chain` then follows the unique child
+orbit of the lexicographically least orbit at that level.  Both are
+None unless `stabilized`.
+"""
 
 
 def orbit_chain(
-    gens: GenSet, vertex: Union[str, Vertex], depth: int
+    gens: GenSet, vertex: str | Vertex, depth: int
 ) -> OrbitChainReport:
     """Orbit structure of the generators' action on the subtree at `vertex`.
 
@@ -411,7 +399,7 @@ def orbit_chain(
 # -- the commutator construction ---------------------------------------------------
 
 
-def embedded_group(group: GroupDef, vertex: Union[str, Vertex]) -> GroupDef:
+def embedded_group(group: GroupDef, vertex: str | Vertex) -> GroupDef:
     """Extend `group` with states that replay each original state inside
     the subtree at `vertex` and do nothing elsewhere.
 
@@ -437,7 +425,7 @@ def embedded_group(group: GroupDef, vertex: Union[str, Vertex]) -> GroupDef:
 
 
 def embed_element(
-    g: Element, vertex: Union[str, Vertex], egroup: Optional[GroupDef] = None
+    g: Element, vertex: str | Vertex, egroup: GroupDef | None = None
 ) -> Element:
     """The element acting as `g` on the subtree at `vertex`, trivially
     elsewhere, expressed in the extended group."""
@@ -451,16 +439,14 @@ def embed_element(
     return egroup.element(tuple((f"{n}@{tag}", e) for n, e in g.letters))
 
 
-class CommutatorWitness(NamedTuple):
-    """Result of the commutator construction, with its verification."""
+CommutatorWitness = namedtuple("CommutatorWitness", "egroup g h commutator vertex target verified")
+CommutatorWitness.__doc__ = """Result of the commutator construction, with its verification.
 
-    egroup: GroupDef  # original group extended by the embedded states
-    g: Element  # the level-fixing element, lifted
-    h: Element  # the embedded companion
-    commutator: Element  # [g, h] = g^-1 h^-1 g h
-    vertex: Vertex  # where the witness surfaces: (k, m)
-    target: Element  # w, lifted
-    verified: bool
+`egroup` is the original group extended by the embedded states; `g` the
+level-fixing element and `target` the element w, both lifted to it; `h` the
+embedded companion; `commutator` [g, h] = g^-1 h^-1 g h; `vertex` (k, m),
+where the witness surfaces.
+"""
 
 
 def commutator_witness(g: Element, k: int, m: int, w: Element) -> CommutatorWitness:

@@ -22,16 +22,15 @@ against a group.  Grammar errors name the line and column.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
 
-from .core import MAX_DIGITS, MAX_WORD_LETTERS, Element, EngineError, GroupDef, Letter
+from .core import MAX_DIGITS, MAX_WORD_LETTERS, BadArgument, Element, EngineError, GroupDef, Letter
 from .core import UnknownGenerator, _NAME, _reduce, _shown
 
 __all__ = ["ParseError", "Word", "parse_word", "read_word", "word_letters"]
 
 
 class ParseError(EngineError):
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
         self.col = col
         where = ""
@@ -43,7 +42,7 @@ class ParseError(EngineError):
 
 
 # (kind, text, column); kind is "name", "int", the symbol, or None for the end of the text
-_Token = Tuple[Optional[str], str, int]
+_Token = tuple[str | None, str, int]
 # `->`, `=` and `:` belong to no word; they are tokens so that errors name them as such.
 _TOKEN_RE = re.compile(
     rf"(?P<name>{_NAME})"
@@ -56,14 +55,14 @@ _TOKEN_RE = re.compile(
 MAX_NESTING = 100
 
 
-def _invert(letters: List[Letter]) -> List[Letter]:
+def _invert(letters: list[Letter]) -> list[Letter]:
     return [(n, -e) for n, e in reversed(letters)]
 
 
 class _WordParser:
     """Recursive-descent parser producing a flat letter list."""
 
-    def __init__(self, tokens: List[_Token], line: Optional[int]):
+    def __init__(self, tokens: list[_Token], line: int | None):
         self.tokens = tokens
         self.pos = 0
         self.line = line
@@ -80,9 +79,9 @@ class _WordParser:
         if n > MAX_WORD_LETTERS:
             raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters", self.line, col)
 
-    def word(self, stop: Optional[str]) -> List[Letter]:
+    def word(self, stop: str | None) -> list[Letter]:
         # returns only at `stop`; any other token a term cannot start is an error in `atom`
-        letters: List[Letter] = []
+        letters: list[Letter] = []
         while True:
             kind, _, col = self.tokens[self.pos]
             if kind == stop:
@@ -91,7 +90,7 @@ class _WordParser:
             self.fits(len(letters) + len(term), col)
             letters.extend(term)
 
-    def term(self) -> List[Letter]:
+    def term(self) -> list[Letter]:
         letters = self.atom()
         while self.tokens[self.pos][0] == "^":
             self.pos += 1
@@ -110,7 +109,7 @@ class _WordParser:
                 letters = _invert(conj) + letters + conj
         return letters
 
-    def atom(self) -> List[Letter]:
+    def atom(self) -> list[Letter]:
         kind, text, col = self.take()
         if kind == "name":
             return [(text, 1)]
@@ -138,10 +137,10 @@ class _WordParser:
         raise ParseError(f"unexpected token {_shown(text)}", self.line, col)
 
 
-def word_letters(text: str, line: Optional[int] = None) -> List[Letter]:
+def word_letters(text: str, line: int | None = None) -> list[Letter]:
     """Parse `text` without resolving names against any group."""
     # every token is read before parsing, so a bad character anywhere beats a grammar error
-    tokens: List[_Token] = []
+    tokens: list[_Token] = []
     for m in _TOKEN_RE.finditer(text):
         kind, piece, col = m.lastgroup, m.group(), m.start() + 1
         if kind == "bad":
@@ -162,7 +161,7 @@ class Word(str):
     __slots__ = ("letters",)
 
 
-def read_word(text: str, line: Optional[int] = None) -> Word:
+def read_word(text: str, line: int | None = None) -> Word:
     """`text` as a :class:`Word`, read once; a ParseError at `line` if it is no word."""
     word = Word(text)
     word.letters = tuple(word_letters(text, line))
@@ -175,6 +174,8 @@ def parse_word(text: str, group: GroupDef) -> Element:
     if isinstance(text, Word):
         letters = text.letters
     else:
+        if not isinstance(text, str):
+            raise BadArgument(f"word must be text, got {_shown(text)}")
         # str.split() and the tokenizer part a text at the same (Unicode) whitespace
         printed = group._printed
         pieces = text.split()

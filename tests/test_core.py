@@ -90,8 +90,26 @@ def test_make_group_validates(grig):
          BoundExceeded, f"{CELL_CAP // 2 + 1} states x 2 letters exceed {CELL_CAP} cells"),
         (lambda g: make_group(VERTEX_CAP, [("a", (), None), ("b", (), None)]), BoundExceeded,
          f"2 states x {VERTEX_CAP} letters exceed {CELL_CAP} cells"),
+        # a malformed table ends in the error class of its field, not a TypeError or ValueError
+        (lambda g: make_group(2, None), BadArgument, "states must be iterable, got None"),
+        (lambda g: make_group(2, 5), BadArgument, "states must be iterable, got 5"),
+        (lambda g: make_group(2, [("a", ("1", "1"))]), BadArgument,
+         "state row must be (name, slots, perm), got ('a', ('1', '1'))"),
+        (lambda g: make_group(2, {"a": (("1", "1"),)}), BadArgument,
+         "state row must be (name, slots, perm), got ('a', ('1', '1'))"),
+        (lambda g: make_group(2, {"a": 5}), BadArgument, "state 'a' must be iterable, got 5"),
+        (lambda g: make_group(2, {"a": (5, None)}), UnknownState,
+         "state 'a': slots must be iterable, got 5"),
+        (lambda g: make_group(2, [("a", None, None)]), UnknownState,
+         "state 'a': slots must be iterable, got None"),
+        (lambda g: make_group(2, {"a": (("1", "1"), 5)}), BadPerm, "cycles must be iterable, got 5"),
+        (lambda g: make_group(2, {"a": (("1", "1"), [5])}), BadPerm, "cycle must be iterable, got 5"),
+        (lambda g: Perm.from_cycles(2, 5), BadPerm, "cycles must be iterable, got 5"),
+        (lambda g: Perm(5), BadPerm, "permutation image must be iterable, got 5"),
     ],
-    ids=["generator", "alphabet", "state name", "perm degree", "exponent", "cells", "wide cells"],
+    ids=["generator", "alphabet", "state name", "perm degree", "exponent", "cells", "wide cells",
+         "no states", "int states", "short row", "short entry", "int entry", "int slots",
+         "no slots", "int perm", "int cycle", "int cycles", "int image"],
 )
 def test_construction_errors_name_their_input(grig, call, error, message):
     # the cell cap is checked before any state is built, so its slots are not read
@@ -361,6 +379,17 @@ def test_vertex_parsing(grig):
             a.act(v)
         with pytest.raises(BadVertex):
             grig.identity().act(v)
+    # a value that is neither text nor iterable is refused by every call that reads a vertex;
+    # before, each ended in "TypeError: '...' object is not iterable"
+    gens = GenSet.from_group(grig)
+    for v in (5, None, 1.5, 2):
+        with pytest.raises(BadVertex) as excinfo:
+            grig.vertex(v)
+        assert str(excinfo.value) == f"vertex must be iterable, got {v!r}"
+        for call in (a.act, a.section, lambda v: subgroups.vertex_stabilizer_gens(gens, v),
+                     lambda v: subgroups.rist_elements(gens, v, 3)):
+            with pytest.raises(BadVertex, match="^vertex must be iterable, got "):
+                call(v)
     assert list(grig.vertices(2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 

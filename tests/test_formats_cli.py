@@ -747,8 +747,9 @@ print(json.dumps([sorted(imported), sorted(ran)]))
 
 def test_import_and_ball_load_no_heavy_modules():
     # every check runs as a new process, which pays for each module the import loads:
-    # dataclasses brings inspect, ast, dis and tokenize, logging costs 4-6 ms cold and
-    # pathlib 4 ms; a site module may load pathlib first, so a child without one (-S) runs too
+    # dataclasses brings inspect, ast, dis and tokenize, logging costs 4-6 ms cold, pathlib
+    # and typing 4 ms each; a site module may load these first, so a child without one (-S)
+    # runs too
     for flags in ((), ("-S",)):
         proc = subprocess.run(
             [sys.executable, *flags, "-c", _MODULES_LOADED],
@@ -759,7 +760,7 @@ def test_import_and_ball_load_no_heavy_modules():
         imported, ran = map(set, json.loads(last))
         assert ball and "agroups.cli" in imported
         assert not {"dataclasses", "inspect"} & imported, imported
-        assert not {"logging", "pathlib"} & ran, (flags, ran)
+        assert not {"logging", "pathlib", "typing"} & ran, (flags, ran)
 
 
 @pytest.mark.parametrize("row", agt_requests.ROWS, ids=[row.id for row in agt_requests.ROWS])

@@ -102,6 +102,8 @@ def test_record_is_built_compared_and_written_by_its_fields(name, grig):
         with pytest.raises(AttributeError):
             setattr(record, f, None)
     assert tuple(getattr(record, f) for f in fields) == values
+    # a tuple subclass without `__slots__ = ()` gets a __dict__, which takes any attribute
+    assert not isinstance(record, tuple) or not hasattr(record, "__dict__")
 
 
 def test_assertion_fields_are_the_names_in_its_form():

@@ -22,6 +22,11 @@ RULES = {
         r"\.log\(|_closure_full", (),
         "an intern table logs when its `with` block ends, so no caller-side log comes back",
     ),
+    "no typing": (
+        r"^\s*(from|import)\s+typing\b", (),
+        "records are collections.namedtuple and annotations are unevaluated builtin generics,"
+        " so no `agt` process pays for importing typing",
+    ),
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from agroups import cli, corpus, words
 from agroups.certify import run_suite
-from agroups.core import UnknownGenerator
+from agroups.core import BadArgument, UnknownGenerator
 from agroups.words import MAX_NESTING, MAX_WORD_LETTERS, ParseError, Word, parse_word, read_word
 from agroups.words import word_letters
 from oracles import parse_word_reference, word_letters_reference
@@ -105,6 +105,14 @@ def test_errors(grig):
             word_letters(bad)
     with pytest.raises(UnknownGenerator):
         parse_word("a z", grig)
+
+
+def test_a_word_that_is_not_text_is_refused(grig):
+    # before, 5 and None ended in an AttributeError (no .split) and b"a" in a TypeError
+    for bad in (5, None, b"a"):
+        with pytest.raises(BadArgument) as excinfo:
+            parse_word(bad, grig)
+        assert str(excinfo.value) == f"word must be text, got {bad!r}"
 
 
 def test_roundtrip_display(grig):
